@@ -18,7 +18,8 @@ with ``--trace 1`` (whose spans are written as JSONL under
 correctness failure, 2 when the program's source is missing.
 
 ``--repin`` rewrites ``perfbench/pins.json`` from a default-seed
-``des-sweep`` run instead of checking against it.
+``des-sweep`` run instead of checking against it; pass ``--seconds 30``,
+the run length in ``BENCHMARK.json``, so the pins cover its grid.
 """
 
 from __future__ import annotations

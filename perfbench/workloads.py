@@ -1,8 +1,9 @@
 """The benchmark's three workloads, their correctness checks and ledgers.
 
-Each workload's shape is fixed here; ``seed`` only becomes
-``config.seed`` (arrival, relation and slack streams) plus the tenant
-tags, and the program sees nothing but the generated inputs.
+Each workload's shape is fixed here; ``seed`` only becomes the
+``config.seed`` of each row (arrival, relation and slack streams) plus
+the tenant tags, and the program sees nothing but the generated inputs.
+Live runs replay one schedule per row (:func:`replay_rows`).
 
 * ``live-steady`` -- paper Section 5.1 baseline, policy ``pmm``, replayed
   open-loop through one in-process ``LiveGateway.run_schedule``.
@@ -11,7 +12,8 @@ tags, and the program sees nothing but the generated inputs.
   connection through a ``ShardRouter`` in front of two shed-enabled
   ``LiveServer`` shards.
 * ``des-sweep`` -- the Figure 3 grid (five rates x six policies) through
-  ``run_many(cache=False, jobs=1)``, repeated until the time is up.
+  ``run_many(cache=False, jobs=1)``, once over as many config seeds as
+  fit the time, in reference seconds (see :func:`reference_slice`).
 
 Every run returns an :class:`Outcome`: operations attempted and failed,
 the named correctness violations, header facts naming the inputs, and
@@ -22,6 +24,7 @@ either the end-to-end metrics (untraced) or the per-layer ledger
 from __future__ import annotations
 
 import asyncio
+import heapq
 import json
 import random
 import resource
@@ -58,6 +61,24 @@ PINS_PATH = Path(__file__).resolve().parent / "pins.json"
 #: Set-ups per run; the reported ``setup_s`` is their median.
 SETUP_REPEATS = 9
 
+#: Wall seconds one :func:`reference_slice` takes on the reference host
+#: (one unloaded 2.1 GHz Xeon core).  CPU-bound timings -- every
+#: ``setup_s`` and the whole of ``des-sweep`` -- are reported in
+#: *reference seconds*: measured seconds divided by the host's
+#: :func:`slowness` measured right before them.
+REFERENCE_SLICE_S = 0.002
+REFERENCE_STEPS = 3000
+
+# -- both live workloads ------------------------------------------------
+#: Wall seconds per row.  A live run replays one schedule per row, each
+#: from its own config seed derived from ``--seed`` (``64*seed + row``):
+#: a seed's relation layout sets its latency for the whole replay (on
+#: live-overload the same seeds' response p50 read 36-55 ms at 10 s
+#: and 40-54 ms at 30 s, in the same order), so five 6 s rows average
+#: five layouts where one 30 s replay repeated one.
+LIVE_ROW_SECONDS = 6.0
+LIVE_SEED_STRIDE = 64
+
 # -- live-steady ---------------------------------------------------------
 STEADY_POLICY = "pmm"
 #: Wall seconds per simulated second (the committed live-replay probe's scale).
@@ -78,15 +99,23 @@ RING_SEED = 0
 # -- des-sweep -----------------------------------------------------------
 DES_RATES = (0.04, 0.05, 0.06, 0.07, 0.08)
 DES_POLICIES = DEFAULT_POLICIES
-#: Config seeds per run: one seed's grid work varies by about +-25%
-#: between seeds (its relation layout and arrival bursts set the load),
-#: so a run sweeps several seeds derived from its own.
-DES_SEEDS = 8
+#: Config seeds (grid rows) per second of run.  One seed's grid work
+#: varies by about +-25% between seeds (its relation layout and arrival
+#: bursts set the load), so a run sweeps as many seeds derived from its
+#: own as fit its time, each once: 20 at 30 s.  Ten such runs spread
+#: (quartile distance over median) 4-7% in ``sims_per_s`` and 10-15% in
+#: ``response_p99_ms``; with 8 seeds each repeated, 27% and 30%.
+DES_ROWS_PER_SECOND = 0.67
+#: Config seeds set aside per ``--seed``, so no two seeds share a row.
+DES_SEED_STRIDE = 64
 #: Each grid point runs until this many departures (the horizon below
 #: is only a cap): a fixed amount of work per point instead of a fixed
 #: simulated time whose work depends on the seed.
 DES_COMPLETIONS = 15
 DES_HORIZON = 36_000.0
+#: Building the grid's run specs takes a few milliseconds, so a run
+#: times more of them than of the live set-ups.
+DES_SETUP_REPEATS = 51
 
 
 @dataclass
@@ -101,8 +130,8 @@ class Outcome:
     notes: List[str] = field(default_factory=list)
     #: The traced run's ledger (``None`` when untraced).
     ledger: Optional["Ledger"] = None
-    #: DES: per-point ``[arrivals, served, missed, events]`` of grid 1.
-    grid_counts: Optional[list] = None
+    #: DES: ``[arrivals, served, missed, events]`` by point name.
+    grid_counts: Optional[Dict[str, list]] = None
 
     def check(self, ok: bool, what: str) -> None:
         """A failed correctness check counts as one failed operation."""
@@ -117,6 +146,49 @@ class Outcome:
 
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+# ----------------------------------------------------------------------
+# the host-speed reference
+# ----------------------------------------------------------------------
+class _Slot:
+    __slots__ = ("key", "count")
+
+    def __init__(self, key: int) -> None:
+        self.key = key
+        self.count = 0
+
+
+def reference_slice() -> float:
+    """Run a fixed piece of interpreter work shaped like the simulator's
+    hot path -- a heap-ordered event loop updating objects kept in a
+    dict -- and return its wall seconds.
+
+    It calls no program code, so no change to the program moves it,
+    while a shared host that is busier or slower at the moment slows it
+    as much as the program: on a 2-core shared host the raw time of one
+    DES grid swung by +-12% between repeats of the same grid, its time
+    over the interleaved slices by +-1%."""
+    start = perf()
+    heap: list = []
+    slots: Dict[int, _Slot] = {}
+    now = 0.0
+    state = 12345
+    for step in range(REFERENCE_STEPS):
+        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+        heapq.heappush(heap, (now + (state % 1000) * 0.001, step))
+        if len(heap) > 48:
+            now, key = heapq.heappop(heap)
+            slot = slots.get(key & 255)
+            if slot is None:
+                slot = slots[key & 255] = _Slot(key)
+            slot.count += 1
+    return perf() - start
+
+
+def slowness() -> float:
+    """How many times slower than the reference host this one runs now."""
+    return reference_slice() / REFERENCE_SLICE_S
 
 
 # ----------------------------------------------------------------------
@@ -208,12 +280,50 @@ class Replay:
     migrations: int = 0
     #: Client round trips keyed by ``(shard, qid)`` (routed replays).
     round_trips: Dict[tuple, float] = field(default_factory=dict)
-    #: Every set-up's wall seconds.
+    #: Every set-up's reference seconds.
     setups: List[float] = field(default_factory=list)
+    #: Disk-seconds of wall time: each row's wall times its disk count.
+    disk_wall: float = 0.0
 
     @property
     def ontime(self) -> int:
         return len(self.response_s)
+
+    def absorb(self, row: "Replay") -> None:
+        """Add one row's replay to this run's."""
+        self.attempted += row.attempted
+        self.response_s += row.response_s
+        self.wall += row.wall
+        self.busy += row.busy
+        self.loop_lags += row.loop_lags
+        self.send_lags += row.send_lags
+        self.gateways += row.gateways
+        self.migrations += row.migrations
+        self.round_trips.update(row.round_trips)
+        self.setups += row.setups
+        self.disk_wall += row.wall * sum(len(g.disks) for g in row.gateways)
+
+
+def live_rows(seed: int, seconds: float):
+    """The config seeds a live run of ``seconds`` replays, one row each,
+    and the wall seconds of each row."""
+    rows = max(1, round(seconds / LIVE_ROW_SECONDS))
+    return range(seed * LIVE_SEED_STRIDE, seed * LIVE_SEED_STRIDE + rows), seconds / rows
+
+
+def replay_rows(
+    replayer, seed: int, seconds: float, outcome: Outcome, ledger: Optional["Ledger"] = None
+):
+    """Replay every row of a live run in turn; returns ``(replay,
+    configs)`` with the rows' observations added together."""
+    replay = Replay()
+    configs = []
+    seeds, row_seconds = live_rows(seed, seconds)
+    for row, config_seed in enumerate(seeds):
+        observed, config = replayer(config_seed, row_seconds, outcome, ledger, row)
+        replay.absorb(observed)
+        configs.append(config)
+    return replay, configs
 
 
 def _check_gateway(outcome: Outcome, gateway: LiveGateway, label: str) -> None:
@@ -249,22 +359,27 @@ def steady_config(seed: int, seconds: float):
 
 
 def replay_steady(
-    seed: int, seconds: float, outcome: Outcome, ledger: Optional["Ledger"] = None
+    seed: int,
+    seconds: float,
+    outcome: Outcome,
+    ledger: Optional["Ledger"] = None,
+    row: int = 0,
 ):
     """Replay the baseline schedule through one gateway's own replay
-    path; returns ``(replay, config)``."""
+    path; returns ``(replay, config)``.  ``row`` labels its spans."""
     replay = Replay()
     for _ in range(SETUP_REPEATS):
+        slow = slowness()
         start = perf()
         config = steady_config(seed, seconds)
         gateway = LiveGateway(config, STEADY_POLICY, time_scale=STEADY_TIME_SCALE)
         schedule = build_schedule(config, gateway.dataplane.database)
-        replay.setups.append(perf() - start)
+        replay.setups.append((perf() - start) / slow)
     replay.attempted = len(schedule.arrivals)
     replay.gateways.append(gateway)
     answers: Counter = Counter()
     if ledger is not None:
-        ledger.attach_gateway(gateway, 0)
+        ledger.attach_gateway(gateway, row)
 
     async def main(selector):
         loop = asyncio.get_running_loop()
@@ -353,28 +468,34 @@ async def stop_farm(servers, router) -> None:
 
 
 def replay_overload(
-    seed: int, seconds: float, outcome: Outcome, ledger: Optional["Ledger"] = None
+    seed: int,
+    seconds: float,
+    outcome: Outcome,
+    ledger: Optional["Ledger"] = None,
+    row: int = 0,
 ):
     """Replay the overload schedule over TCP through the shard router;
-    returns ``(replay, config)``."""
+    returns ``(replay, config)``.  Spans and round trips are keyed by
+    ``(row * SHARDS + shard, qid)``, unique across a run's rows."""
     replay = Replay()
     scale = OVERLOAD_TIME_SCALE
 
     async def main(selector):
         loop = asyncio.get_running_loop()
         for attempt in range(SETUP_REPEATS):
+            slow = slowness()
             start = perf()
             config, schedule = overload_schedule(seed, seconds)
             servers, router, (host, port) = await start_farm(config)
-            replay.setups.append(perf() - start)
+            replay.setups.append((perf() - start) / slow)
             if attempt + 1 < SETUP_REPEATS:
                 await stop_farm(servers, router)
         replay.attempted = len(schedule.arrivals)
         replay.gateways = [server.gateway for server in servers]
         if ledger is not None:
             for shard_id, gateway in enumerate(replay.gateways):
-                ledger.attach_gateway(gateway, shard_id)
-            ledger.attach_router(router)
+                ledger.attach_gateway(gateway, row * SHARDS + shard_id)
+            ledger.attach_router(router, row * SHARDS)
         arrivals = schedule.arrivals
         count = len(arrivals)
         due = [0.0] * count
@@ -453,7 +574,7 @@ def replay_overload(
             if response is None:
                 continue
             if "qid" in response:
-                key = (response["shard"], response["qid"])
+                key = (row * SHARDS + response["shard"], response["qid"])
                 replay.round_trips[key] = answered[index] - sent[index]
             if "error" in response:
                 errors += 1
@@ -472,15 +593,15 @@ def replay_overload(
 
 
 def traced_live(replayer, seed: int, seconds: float, outcome: Outcome):
-    """One live replay with every layer wrapped; returns
-    ``(replay, config, ledger)`` with the wrappers already removed."""
+    """One live run with every layer wrapped; returns
+    ``(replay, configs, ledger)`` with the wrappers already removed."""
     ledger = Ledger()
     ledger.install_live()
     try:
-        replay, config = replayer(seed, seconds, outcome, ledger)
+        replay, configs = replay_rows(replayer, seed, seconds, outcome, ledger)
     finally:
         ledger.restore()
-    return replay, config, ledger
+    return replay, configs, ledger
 
 
 def live_workload(replayer, seed: int, seconds: float, trace: bool) -> Outcome:
@@ -489,27 +610,29 @@ def live_workload(replayer, seed: int, seconds: float, trace: bool) -> Outcome:
     overhead (loop busy seconds traced over untraced, minus one)."""
     outcome = Outcome()
     if trace:
-        plain, _config = replayer(seed, seconds / 2, outcome)
-        replay, config, ledger = traced_live(replayer, seed, seconds / 2, outcome)
+        plain, _configs = replay_rows(replayer, seed, seconds / 2, outcome)
+        replay, configs, ledger = traced_live(replayer, seed, seconds / 2, outcome)
         overhead = replay.busy / plain.busy - 1.0 if plain.busy > 0 else 0.0
         outcome.metrics = ledger.metrics(replay.wall, replay, 0, overhead)
         outcome.ledger = ledger
         outcome.attempted = plain.attempted + replay.attempted
     else:
-        replay, config = replayer(seed, seconds, outcome)
+        replay, configs = replay_rows(replayer, seed, seconds, outcome)
         outcome.attempted = replay.attempted
         outcome.metrics = {
             "goodput_qps": replay.ontime / replay.wall,
             "ontime_ratio": replay.ontime / replay.attempted,
             "response_p50_ms": percentile(replay.response_s, 0.50) * 1e3,
             "response_p99_ms": percentile(replay.response_s, 0.99) * 1e3,
-            # One whole replay is this workload's simulation.
-            "sims_per_s": 1.0 / replay.wall,
+            # One row's whole replay is this workload's simulation.
+            "sims_per_s": len(configs) / replay.wall,
             "setup_s": statistics.median(replay.setups),
             "peak_rss_mb": peak_rss_mb(),
         }
     outcome.header.update(
-        scenario_hash=scenario_hash(config), arrivals=replay.attempted
+        config_seeds=f"{configs[0].seed}-{configs[-1].seed}",
+        scenario_hash=scenario_hash(tuple(configs)),
+        arrivals=replay.attempted,
     )
     outcome.notes.append(
         f"on-time answers {replay.ontime} of {replay.attempted} submissions;"
@@ -524,11 +647,17 @@ def live_steady(seed: int, seconds: float, trace: bool = False) -> Outcome:
     if not trace:
         # Untimed: the DES's prediction for this exact config and seed,
         # so a live shortfall reads as program cost, not difficulty.
-        predicted = RTDBSystem(steady_config(seed, seconds), STEADY_POLICY).run()
+        seeds, row_seconds = live_rows(seed, seconds)
+        rows = [
+            RTDBSystem(steady_config(config_seed, row_seconds), STEADY_POLICY).run()
+            for config_seed in seeds
+        ]
+        served = sum(result.served for result in rows)
+        ontime = sum(result.served - result.missed for result in rows)
         outcome.notes.append(
             f"ontime_ratio live {outcome.metrics['ontime_ratio']:.4f}"
-            f" vs DES prediction {1.0 - predicted.miss_ratio:.4f}"
-            f" (over {predicted.served} DES departures)"
+            f" vs DES prediction {ontime / served:.4f}"
+            f" (over {served} DES departures)"
         )
     return outcome
 
@@ -551,14 +680,18 @@ def live_overload(seed: int, seconds: float, trace: bool = False) -> Outcome:
 class EventCounter:
     """``RunSpec`` set-up hook: reads each simulator's exact event count
     after its run (when the hook sees the next system, or on
-    :meth:`collect` after the batch) and, traced, wraps its policy."""
+    :meth:`collect` after the batch), times each point in reference
+    seconds against a :func:`slowness` measured right before it and,
+    traced, wraps its policy."""
 
     def __init__(self) -> None:
         self.events: List[int] = []
-        #: Wall seconds from one run's start to the next run's start.
-        self.walls: List[float] = []
+        #: Reference seconds from one run's start to the next system's
+        #: hook call (its run, result and the next system's build).
+        self.times: List[float] = []
         self.ledger: Optional[Ledger] = None
         self._sim = None
+        self._slow = 1.0
         self._started = 0.0
 
     def __call__(self, system) -> None:
@@ -566,33 +699,36 @@ class EventCounter:
         self._sim = system.sim
         if self.ledger is not None:
             self.ledger.wrap_policy(system.policy)
+        self._slow = slowness()
         self._started = perf()
 
     def collect(self) -> List[int]:
         if self._sim is not None:
-            self.walls.append(perf() - self._started)
+            self.times.append((perf() - self._started) / self._slow)
             self.events.append(self._sim.events_processed)
             self._sim = None
         return self.events
 
 
-def config_seeds(seed: int) -> range:
-    """The DES config seeds one run sweeps, disjoint across ``seed``s."""
-    return range(seed * DES_SEEDS, (seed + 1) * DES_SEEDS)
+def config_seeds(seed: int, seconds: float) -> range:
+    """The DES config seeds a run of ``seconds`` sweeps, disjoint across
+    ``seed``s."""
+    rows = min(DES_SEED_STRIDE, max(1, round(seconds * DES_ROWS_PER_SECOND)))
+    return range(seed * DES_SEED_STRIDE, seed * DES_SEED_STRIDE + rows)
 
 
-def point_names(seed: int) -> List[str]:
+def point_names(seeds: range) -> List[str]:
     return [
         f"{rate}/{policy}/seed{config_seed}"
-        for config_seed in config_seeds(seed)
+        for config_seed in seeds
         for rate in DES_RATES
         for policy in DES_POLICIES
     ]
 
 
-def des_specs(seed: int, hook: EventCounter) -> List[RunSpec]:
+def des_specs(seeds: range, hook: EventCounter) -> List[RunSpec]:
     specs = []
-    for config_seed in config_seeds(seed):
+    for config_seed in seeds:
         settings = ExperimentSettings(
             scale=0.1,
             duration=DES_HORIZON,
@@ -611,17 +747,19 @@ def des_specs(seed: int, hook: EventCounter) -> List[RunSpec]:
 
 
 def run_grid(specs: List[RunSpec], hook: EventCounter):
-    """One full grid; returns ``(wall seconds, per-point counts)``
-    (``hook.walls`` keeps accumulating per-point wall seconds)."""
+    """One full grid; returns ``(wall seconds, reference seconds,
+    per-point counts)`` (``hook.times`` keeps accumulating per-point
+    reference seconds)."""
     hook.events = []
+    first = len(hook.times)
     start = perf()
     results = run_many(specs, jobs=1, cache=False)
-    wall = perf() - start
     counts = [
         [result.arrivals, result.served, result.missed, events]
         for result, events in zip(results, hook.collect())
     ]
-    return wall, counts
+    wall = perf() - start
+    return wall, sum(hook.times[first:]), counts
 
 
 def grid_shape() -> dict:
@@ -644,53 +782,58 @@ def load_pins(seed: int) -> Optional[dict]:
     return pinned["points"]
 
 
-def write_pins(counts) -> None:
-    record = {
-        "seed": DEFAULT_SEED,
-        "grid": grid_shape(),
-        "points": dict(zip(point_names(DEFAULT_SEED), counts)),
-    }
-    PINS_PATH.write_text(json.dumps(record, indent=1) + "\n")
+def write_pins(points: Dict[str, list]) -> None:
+    """Pin ``points`` (counts by point name), one point per line."""
+    head = json.dumps({"seed": DEFAULT_SEED, "grid": grid_shape()})[:-1]
+    lines = ",\n".join(
+        f" {json.dumps(name)}: {json.dumps(counts)}" for name, counts in points.items()
+    )
+    PINS_PATH.write_text(f'{head}, "points": {{\n{lines}\n}}}}\n')
 
 
 def check_grid(
-    outcome: Outcome, seed: int, counts, reference, pins: Optional[dict]
+    outcome: Outcome, names: List[str], counts, reference, pins: Optional[dict]
 ) -> None:
+    """Each point's counts must equal ``reference`` and, where pinned,
+    ``pins``."""
     outcome.attempted += len(counts)
-    for name, point, first in zip(point_names(seed), counts, reference):
-        ok = point == first and (pins is None or point == pins.get(name))
-        expected = first if point != first else pins and pins.get(name)
+    for name, point, first in zip(names, counts, reference):
+        pinned = pins.get(name, point) if pins else point
+        ok = point == first and point == pinned
+        expected = first if point != first else pinned
         outcome.check(ok, f"{name}: counts {point} != expected {expected}")
 
 
 def des_sweep(
     seed: int, seconds: float, trace: bool = False, pins: Optional[dict] = None
 ) -> Outcome:
-    """Repeat the Figure 3 grid until ``seconds`` have passed, every
-    repeat checked against the first (and the default seed's against
-    ``pins``); ``sims_per_s`` is the median over grids of points per
-    wall second.  Untraced, at least two grids run; traced, the first
-    half runs untraced (the overhead baseline), the second traced."""
+    """Sweep the Figure 3 grid once over as many config seeds as fit
+    ``seconds``, timing each point in reference seconds, and check the
+    default seed's points against ``pins``.
+
+    Untraced, the grid's first row then runs again, untimed, and must
+    repeat its counts; ``sims_per_s`` is points per reference second of
+    the grid.  Traced, the grid covers half the time's rows and runs
+    twice: untraced (the overhead baseline), then traced, and the traced
+    repeat must match the untraced counts."""
     outcome = Outcome()
     hook = EventCounter()
-    times = []
-    for _ in range(SETUP_REPEATS):
+    seeds = config_seeds(seed, seconds / 2 if trace else seconds)
+    names = point_names(seeds)
+    setups = []
+    for _ in range(DES_SETUP_REPEATS):
+        slow = slowness()
         start = perf()
-        specs = des_specs(seed, hook)
-        times.append(perf() - start)
-    budget = seconds / 2 if trace else seconds
-    walls: List[float] = []
-    started = perf()
-    while len(walls) < (1 if trace else 2) or perf() - started + walls[-1] <= budget:
-        wall, counts = run_grid(specs, hook)
-        walls.append(wall)
-        outcome.grid_counts = outcome.grid_counts or counts
-        check_grid(outcome, seed, counts, outcome.grid_counts, pins)
-    reference = outcome.grid_counts
-    arrivals = sum(point[0] for point in reference)
-    ontime = sum(point[1] - point[2] for point in reference)
+        specs = des_specs(seeds, hook)
+        setups.append((perf() - start) / slow)
+    wall, grid, counts = run_grid(specs, hook)
+    times = list(hook.times)
+    outcome.grid_counts = dict(zip(names, counts))
+    check_grid(outcome, names, counts, counts, pins)
+    arrivals = sum(point[0] for point in counts)
+    ontime = sum(point[1] - point[2] for point in counts)
     outcome.header.update(
-        config_seeds=",".join(str(config_seed) for config_seed in config_seeds(seed)),
+        config_seeds=f"{seeds.start}-{seeds.stop - 1}",
         completions_per_point=DES_COMPLETIONS,
         points=len(specs),
         scenario_hash=scenario_hash(
@@ -698,37 +841,37 @@ def des_sweep(
         ),
         arrivals=arrivals,
     )
+    outcome.notes.append(
+        f"grid of {len(specs)} points: {wall:.2f} wall seconds,"
+        f" {grid:.2f} reference seconds"
+    )
     if not trace:
-        grid_wall = statistics.median(walls)
+        row = len(DES_RATES) * len(DES_POLICIES)
+        _wall, _grid, again = run_grid(specs[:row], hook)
+        check_grid(outcome, names, again, counts, pins)
         outcome.metrics = {
             # Simulated queries finished inside their deadline, per
-            # wall second of sweep, and their share of all arrivals.
-            "goodput_qps": ontime / grid_wall,
+            # reference second of sweep, and their share of all arrivals.
+            "goodput_qps": ontime / grid,
             "ontime_ratio": ontime / arrivals,
             # A grid point is this workload's request.
-            "response_p50_ms": percentile(hook.walls, 0.50) * 1e3,
-            "response_p99_ms": percentile(hook.walls, 0.99) * 1e3,
-            "sims_per_s": len(specs) / grid_wall,
-            "setup_s": statistics.median(times),
+            "response_p50_ms": percentile(times, 0.50) * 1e3,
+            "response_p99_ms": percentile(times, 0.99) * 1e3,
+            "sims_per_s": len(specs) / grid,
+            "setup_s": statistics.median(setups),
             "peak_rss_mb": peak_rss_mb(),
         }
         return outcome
     ledger = Ledger()
     ledger.install_des()
     hook.ledger = ledger
-    traced: List[float] = []
-    events = 0
-    started = perf()
     try:
-        while not traced or perf() - started < budget:
-            wall, counts = run_grid(specs, hook)
-            traced.append(wall)
-            events += sum(point[3] for point in counts)
-            check_grid(outcome, seed, counts, reference, pins)
+        wall_traced, traced, again = run_grid(specs, hook)
     finally:
         ledger.restore()
-    overhead = statistics.median(traced) / statistics.median(walls) - 1.0
-    outcome.metrics = ledger.metrics(sum(traced), None, events, overhead)
+    check_grid(outcome, names, again, counts, pins)
+    events = sum(point[3] for point in again)
+    outcome.metrics = ledger.metrics(wall_traced, None, events, traced / grid - 1.0)
     outcome.ledger = ledger
     return outcome
 
@@ -848,9 +991,10 @@ class Ledger:
 
         gateway.departure_listeners.append(on_departure)
 
-    def attach_router(self, router: ShardRouter) -> None:
+    def attach_router(self, router: ShardRouter, base: int = 0) -> None:
+        """Label the router's links ``base + index``."""
         for index, link in enumerate(router.links):
-            self._link_index[id(link)] = index
+            self._link_index[id(link)] = base + index
 
     def restore(self) -> None:
         self.tracer.restore()
@@ -957,7 +1101,8 @@ class Ledger:
             "serve.dataplane.disk_wait_p99_ms": p(self.disk_waits, 0.99, 1e3),
             "serve.dataplane.disk_queue_s": sum(disk.queue_seconds for disk in disks),
             "serve.dataplane.disk_busy_share": share(
-                sum(disk.busy_seconds for disk in disks), wall * len(disks)
+                sum(disk.busy_seconds for disk in disks),
+                replay.disk_wall if replay else 0.0,
             ),
             "serve.dataplane.chunks": sum(disk.chunks_served for disk in disks),
             "serve.dataplane.replay_s": totals["dataplane.replay"],
