@@ -25,130 +25,51 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
-import queue
-import re
-import signal
 import subprocess
 import sys
 import tempfile
-import threading
-import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from repro.serve.shard import ServeProcess, serve_env  # noqa: E402
+from smoke_client import fetch_stats, submissions, tenant_client  # noqa: E402
 
 #: Submissions per tenant.
 PER_TENANT = 3
 
 
-def _env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return env
-
-
-def launch(time_scale: float, extra: tuple = ()) -> tuple:
-    """Start the server subprocess; returns (process, host, port, lines).
-
-    ``lines`` is a queue fed by a stdout-pump thread (``None`` marks
-    EOF); all later output -- the drain banners -- is read from it.
-    ``extra`` appends additional CLI flags (e.g. ``--journal``).
-    """
-    process = subprocess.Popen(
+def launch(time_scale: float, extra: tuple = ()) -> ServeProcess:
+    """Start the server subprocess and wait for its ready line.
+    ``extra`` appends additional CLI flags (e.g. ``--journal``)."""
+    return ServeProcess.launch(
         [
-            sys.executable,
-            "-m",
-            "repro.serve",
             "serve",
-            "--port",
-            "0",
-            "--tenants",
-            "2",
-            "--policy",
-            "pmm",
-            "--time-scale",
-            str(time_scale),
+            "--port", "0",
+            "--tenants", "2",
+            "--policy", "pmm",
+            "--time-scale", str(time_scale),
             *extra,
         ],
-        env=_env(),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
+        banner_timeout=60.0,
     )
-    # Read stdout on a thread: a wedged server must trip the deadline,
-    # not leave this script blocked forever inside readline().
-    lines: queue.Queue = queue.Queue()
-
-    def pump() -> None:
-        for line in process.stdout:
-            lines.put(line)
-        lines.put(None)  # EOF
-
-    threading.Thread(target=pump, daemon=True).start()
-    deadline = time.monotonic() + 60.0
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            process.kill()
-            raise SystemExit("server never printed its ready line")
-        try:
-            line = lines.get(timeout=min(remaining, 1.0))
-        except queue.Empty:
-            continue
-        if line is None:
-            raise SystemExit(
-                f"server exited early ({process.wait()}) before its ready line"
-            )
-        match = re.search(r"listening on ([\d.]+):(\d+)", line)
-        if match:
-            return process, match.group(1), int(match.group(2)), lines
 
 
-async def tenant_client(host: str, port: int, tenant: str) -> list:
+def check_hello(hello: dict) -> None:
+    assert hello["class"], f"tenant {hello['tenant']} got no class mapping: {hello}"
+
+
+def tenant(host: str, port: int, name: str):
     """One tenant's connection: hello, then PER_TENANT submissions."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(
-            json.dumps({"op": "hello", "tenant": tenant}).encode() + b"\n"
-        )
-        await writer.drain()
-        hello = json.loads(await reader.readline())
-        assert hello["tenant"] == tenant, hello
-        assert hello["class"], f"tenant {tenant} got no class mapping: {hello}"
-        responses = []
-        for index in range(PER_TENANT):
-            writer.write(
-                json.dumps(
-                    {
-                        "op": "submit",
-                        "type": "sort" if index % 2 == 0 else "hash_join",
-                        "pages": 8 + 4 * index,
-                        "slack": 20.0,
-                    }
-                ).encode()
-                + b"\n"
-            )
-            await writer.drain()
-            response = json.loads(await reader.readline())
-            assert "error" not in response, response
-            assert response["tenant"] == tenant, response
-            responses.append(response)
-        return responses
-    finally:
-        writer.close()
-
-
-async def fetch_stats(host: str, port: int) -> dict:
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(json.dumps({"op": "stats"}).encode() + b"\n")
-        await writer.drain()
-        return json.loads(await reader.readline())
-    finally:
-        writer.close()
+    return tenant_client(
+        host,
+        port,
+        name,
+        submissions(PER_TENANT),
+        check_hello,
+        lambda _response, _request: None,
+    )
 
 
 def check_stats(stats: dict) -> None:
@@ -174,17 +95,16 @@ def main(argv=None) -> int:
     parser.add_argument("--time-scale", type=float, default=0.02)
     args = parser.parse_args(argv)
 
-    process, host, port, lines = launch(args.time_scale)
+    server = launch(args.time_scale)
     try:
         results = asyncio.run(
             asyncio.wait_for(
-                _drive(host, port),
+                _drive(server.host, server.port),
                 timeout=240.0,
             )
         )
     except BaseException:
-        process.kill()
-        process.wait()
+        server.kill()
         raise
     stats = results["stats"]
     check_stats(stats)
@@ -197,25 +117,15 @@ def main(argv=None) -> int:
 
     # Graceful drain: SIGINT must produce a clean exit and the drain
     # banner, with every query already departed.
-    process.send_signal(signal.SIGINT)
     try:
-        process.wait(timeout=120.0)
+        code = server.drain(timeout=120.0)
     except subprocess.TimeoutExpired:
-        process.kill()
+        server.kill()
         raise SystemExit("server did not drain within 120 s of SIGINT")
-    chunks = []
-    while True:  # the pump thread ends with a None sentinel at EOF
-        line = lines.get(timeout=10.0)
-        if line is None:
-            break
-        chunks.append(line)
-    output = "".join(chunks)
-    if process.returncode != 0:
-        raise SystemExit(
-            f"server exited {process.returncode} after SIGINT:\n{output}"
-        )
-    if "drained cleanly" not in output:
-        raise SystemExit(f"no drain banner in server output:\n{output}")
+    if code != 0:
+        raise SystemExit(f"server exited {code} after SIGINT:\n{server.output}")
+    if "drained cleanly" not in server.output:
+        raise SystemExit(f"no drain banner in server output:\n{server.output}")
     print("serve-smoke: graceful drain ok")
 
     crash_recovery_leg(args.time_scale)
@@ -258,29 +168,24 @@ def crash_recovery_leg(time_scale: float) -> None:
     journal = Path(
         tempfile.mkdtemp(prefix="serve-smoke-crash-")
     ) / "broker.jsonl"
-    process, host, port, lines = launch(
-        time_scale, extra=("--journal", str(journal))
-    )
+    server = launch(time_scale, extra=("--journal", str(journal)))
     try:
         asyncio.run(
-            asyncio.wait_for(_pipeline_submissions(host, port, 4), timeout=60.0)
+            asyncio.wait_for(
+                _pipeline_submissions(server.host, server.port, 4), timeout=60.0
+            )
         )
     except BaseException:
-        process.kill()
-        process.wait()
+        server.kill()
         raise
-    process.kill()  # SIGKILL: no drain, no graceful close, no flush
-    process.wait()
-    while True:  # drain the pump thread to its EOF sentinel
-        if lines.get(timeout=10.0) is None:
-            break
+    server.kill()  # SIGKILL: no drain, no graceful close, no flush
     if not journal.exists() or not journal.read_text().strip():
         raise SystemExit(f"server never journalled to {journal}")
 
     recover = subprocess.run(
         [sys.executable, "-m", "repro.serve", "recover",
          "--journal", str(journal)],
-        env=_env(),
+        env=serve_env(),
         capture_output=True,
         text=True,
         timeout=120.0,
@@ -298,8 +203,8 @@ def crash_recovery_leg(time_scale: float) -> None:
 
 async def _drive(host: str, port: int) -> dict:
     alpha, beta = await asyncio.gather(
-        tenant_client(host, port, "alpha"),
-        tenant_client(host, port, "beta"),
+        tenant(host, port, "alpha"),
+        tenant(host, port, "beta"),
     )
     stats = await fetch_stats(host, port)
     return {"alpha": alpha, "beta": beta, "stats": stats}

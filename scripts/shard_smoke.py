@@ -25,18 +25,16 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
-import os
-import queue
 import re
-import signal
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from repro.serve.shard import ServeProcess  # noqa: E402
+from smoke_client import fetch_stats, submissions, tenant_client  # noqa: E402
 
 SHARDS = 2
 TENANTS = ("tenant0", "tenant1")
@@ -49,112 +47,31 @@ REPRO_COMMAND = (
 )
 
 
-def _env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return env
-
-
-def launch(time_scale: float) -> tuple:
-    """Start the router CLI (which launches the shard subprocesses);
-    returns (process, host, port, lines queue)."""
-    process = subprocess.Popen(
+def launch(time_scale: float) -> ServeProcess:
+    """Start the router CLI (which launches the shard subprocesses)
+    and wait for its ready line."""
+    return ServeProcess.launch(
         [
-            sys.executable,
-            "-m",
-            "repro.serve",
             "route",
-            "--shards",
-            str(SHARDS),
-            "--tenants",
-            str(len(TENANTS)),
-            "--port",
-            "0",
-            "--policy",
-            "pmm",
-            "--time-scale",
-            str(time_scale),
+            "--shards", str(SHARDS),
+            "--tenants", str(len(TENANTS)),
+            "--port", "0",
+            "--policy", "pmm",
+            "--time-scale", str(time_scale),
         ],
-        env=_env(),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
+        name="router",
+        banner=re.compile(r"router .*listening on ([\d.]+):(\d+)"),
+        banner_timeout=120.0,
     )
-    lines: queue.Queue = queue.Queue()
-
-    def pump() -> None:
-        for line in process.stdout:
-            lines.put(line)
-        lines.put(None)  # EOF
-
-    threading.Thread(target=pump, daemon=True).start()
-    deadline = time.monotonic() + 120.0
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            process.kill()
-            raise SystemExit("router never printed its ready line")
-        try:
-            line = lines.get(timeout=min(remaining, 1.0))
-        except queue.Empty:
-            continue
-        if line is None:
-            raise SystemExit(
-                f"router exited early ({process.wait()}) before its ready line"
-            )
-        match = re.search(r"router .*listening on ([\d.]+):(\d+)", line)
-        if match:
-            return process, match.group(1), int(match.group(2)), lines
 
 
-async def tenant_client(host: str, port: int, tenant: str) -> list:
-    """One tenant through the router: hello (placement), submissions."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(
-            json.dumps({"op": "hello", "tenant": tenant}).encode() + b"\n"
-        )
-        await writer.drain()
-        hello = json.loads(await reader.readline())
-        assert hello["tenant"] == tenant, hello
-        assert hello["shard"] in range(SHARDS), hello
-        responses = []
-        for index in range(PER_TENANT):
-            tag = f"{tenant}-{index}"
-            writer.write(
-                json.dumps(
-                    {
-                        "op": "submit",
-                        "type": "sort" if index % 2 == 0 else "hash_join",
-                        "pages": 8 + 4 * index,
-                        "slack": 20.0,
-                        "tag": tag,
-                    }
-                ).encode()
-                + b"\n"
-            )
-            await writer.drain()
-            response = json.loads(await reader.readline())
-            assert "error" not in response, response
-            assert response["tenant"] == tenant, response
-            assert response["tag"] == tag, response
-            assert response["shard"] in range(SHARDS), response
-            responses.append(response)
-        return responses
-    finally:
-        writer.close()
+def check_hello(hello: dict) -> None:
+    assert hello["shard"] in range(SHARDS), hello
 
 
-async def fetch_stats(host: str, port: int) -> dict:
-    reader, writer = await asyncio.open_connection(host, port, limit=1 << 20)
-    try:
-        writer.write(json.dumps({"op": "stats"}).encode() + b"\n")
-        await writer.drain()
-        return json.loads(await reader.readline())
-    finally:
-        writer.close()
+def check_response(response: dict, request: dict) -> None:
+    assert response["tag"] == request["tag"], response
+    assert response["shard"] in range(SHARDS), response
 
 
 def check_stats(stats: dict) -> None:
@@ -184,7 +101,17 @@ def check_stats(stats: dict) -> None:
 
 async def _drive(host: str, port: int) -> dict:
     results = await asyncio.gather(
-        *(tenant_client(host, port, tenant) for tenant in TENANTS)
+        *(
+            tenant_client(
+                host,
+                port,
+                tenant,
+                submissions(PER_TENANT, tag_prefix=tenant),
+                check_hello,
+                check_response,
+            )
+            for tenant in TENANTS
+        )
     )
     stats = await fetch_stats(host, port)
     return {"responses": results, "stats": stats}
@@ -207,14 +134,13 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    process, host, port, lines = launch(args.time_scale)
+    router = launch(args.time_scale)
     try:
         results = asyncio.run(
-            asyncio.wait_for(_drive(host, port), timeout=240.0)
+            asyncio.wait_for(_drive(router.host, router.port), timeout=240.0)
         )
     except BaseException:
-        process.kill()
-        process.wait()
+        router.kill()
         raise
     stats = results["stats"]
     check_stats(stats)
@@ -227,23 +153,14 @@ def _run(args) -> int:
 
     # Graceful drain: SIGINT to the router must drain the whole farm --
     # router conservation verdict, exit 0, every shard drained.
-    process.send_signal(signal.SIGINT)
     try:
-        process.wait(timeout=180.0)
+        code = router.drain(timeout=180.0)
     except subprocess.TimeoutExpired:
-        process.kill()
+        router.kill()
         raise SystemExit("router did not drain within 180 s of SIGINT")
-    chunks = []
-    while True:  # the pump thread ends with a None sentinel at EOF
-        line = lines.get(timeout=10.0)
-        if line is None:
-            break
-        chunks.append(line)
-    output = "".join(chunks)
-    if process.returncode != 0:
-        raise SystemExit(
-            f"router exited {process.returncode} after SIGINT:\n{output}"
-        )
+    output = router.output
+    if code != 0:
+        raise SystemExit(f"router exited {code} after SIGINT:\n{output}")
     if "router drained cleanly" not in output:
         raise SystemExit(f"no router drain banner:\n{output}")
     if "conservation ok" not in output:

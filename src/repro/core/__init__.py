@@ -18,6 +18,9 @@ driven by Earliest Deadline priorities and past system behaviour:
 * :mod:`~repro.core.devices` -- the host-agnostic device engine (ED
   queue selection, prefetch cache, LRU data cache, service pricing)
   shared by the simulator and the live serving layer.
+* :mod:`~repro.core.broker` / :mod:`~repro.core.host` -- the memory
+  broker and the query lifecycle around it (admission, enactment,
+  departures, batch feedback) shared by the same two hosts.
 """
 
 from repro.core.allocation import (

@@ -24,8 +24,9 @@ exactly the Medium-class bias the paper reports in Figure 18.)
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +34,12 @@ import numpy as np
 #: its clamp-sum with scalar arithmetic instead of numpy: per-call
 #: dispatch overhead dominates vectorisation gains on small arrays.
 _SCALAR_CUTOVER = 128
+
+#: Relative half-width of the band around the estimated threshold
+#: inside which the proportional bisection stops skipping and scans:
+#: far wider than float rounding of a grant boundary, far narrower
+#: than the spacing of distinct boundaries at realistic page counts.
+_GUIDE_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,8 @@ def allocate_proportional(
 
     mins = [d.min_pages for d in admitted]
     maxs = [d.max_pages for d in admitted]
-    if _clamp_sum(1.0, mins, maxs) <= memory:
+    # ``_clamp_sum(1.0, ...)``: the product with 1.0 is exact.
+    if sum(maxs) <= memory:
         # Exact fast path: every admitted query fits at its maximum.
         # The bisection would converge to low = 1 - 2**-64, whose
         # float64 product with any representable max_pages rounds to
@@ -123,7 +131,7 @@ def allocate_proportional(
         grants = _bisect_grants(mins, maxs, memory)
     for demand, grant in zip(admitted, grants):
         allocation[demand.qid] = grant
-    remaining = memory - sum(allocation[d.qid] for d in admitted)
+    remaining = memory - sum(grants)
     # Hand out integer-rounding leftovers in ED order.
     for demand in admitted:
         if remaining <= 0:
@@ -168,9 +176,19 @@ def _bisect_grants(mins: Sequence[int], maxs: Sequence[int], memory: int) -> Lis
 
     Equivalent to running 64 plain bisection iterations on
     ``_clamp_sum`` and granting ``clamp(int(low * max))`` at the final
-    ``low`` -- the procedure the DES goldens pin -- but with two
-    grant-exact shortcuts that cut the admission-path cost ~6x:
+    ``low`` -- the procedure the DES goldens pin -- but with three
+    grant-exact shortcuts that cut the admission-path cost ~10x:
 
+    * **guided skip** -- the opening iterations, whose midpoints lie
+      far from the threshold fraction (where the integer total first
+      exceeds ``memory``), are decided without a scan:
+      :func:`_threshold_estimate` locates the threshold, and midpoints
+      clearly below it go low, clearly above it go high.  The skipped
+      decisions are then checked at the resulting bracket ends (the
+      total is monotone in the fraction, so one check at the largest
+      low and one at the smallest high cover them all), and on a
+      mismatch the bisection restarts from [0, 1].  Only queries with
+      a grant boundary inside the final narrow bracket stay unpinned;
     * **pinning** -- float64 multiplication is monotone, so once a
       query's clamped grant agrees at both bracket ends it can never
       change again (the final ``low`` lies inside the bracket); its
@@ -185,62 +203,192 @@ def _bisect_grants(mins: Sequence[int], maxs: Sequence[int], memory: int) -> Lis
 
     Ties (several queries sharing the binding boundary) never reduce
     to one unpinned query and simply run the full 64 iterations.
+
+    Each bracket end is always a former midpoint (or 0 / 1, where the
+    clamped grants are the minimum / maximum), so the grants at both
+    ends are carried along instead of recomputed: one product per
+    unpinned query per iteration.
     """
+    threshold = _threshold_estimate(mins, maxs, memory)
+    lower = threshold * (1.0 - _GUIDE_BAND)
+    upper = threshold * (1.0 + _GUIDE_BAND)
+    low, high = 0.0, 1.0
+    skipped = 0
+    while skipped < 64:
+        mid = (low + high) / 2.0
+        if mid <= lower:
+            low = mid
+        elif mid >= upper:
+            high = mid
+        else:
+            break
+        skipped += 1
+    # Grants at both bracket ends (at 0 and 1 these are the minima and
+    # maxima).  A fraction of at most 1 never lifts ``int(f * max)``
+    # above ``max``, so only the floor needs clamping.
+    at_low, at_high = [], []
+    for low_pages, high_pages in zip(mins, maxs):
+        pages = int(low * high_pages)
+        at_low.append(low_pages if pages < low_pages else pages)
+        pages = int(high * high_pages)
+        at_high.append(low_pages if pages < low_pages else pages)
+    if (low > 0.0 and sum(at_low) > memory) or (high < 1.0 and sum(at_high) <= memory):
+        # Float rounding put a skipped midpoint on the wrong side.
+        low, high, skipped = 0.0, 1.0, 0
+        at_low, at_high = list(mins), list(maxs)
+
     grants: List[int] = [0] * len(maxs)
     pinned_sum = 0
-    active = list(range(len(maxs)))
-    low, high = 0.0, 1.0
-    for _iteration in range(64):
+    # Unpinned queries as parallel lists: index, envelope, and the
+    # clamped grant at each bracket end.
+    active = []
+    for index, pages in enumerate(at_low):
+        if pages == at_high[index]:
+            grants[index] = pages
+            pinned_sum += pages
+        else:
+            active.append(index)
+    act_mins = [mins[index] for index in active]
+    act_maxs = [maxs[index] for index in active]
+    at_low = [at_low[index] for index in active]
+    at_high = [at_high[index] for index in active]
+    for _iteration in range(64 - skipped if len(active) > 1 else 0):
         mid = (low + high) / 2.0
         total = pinned_sum
-        for index in active:
-            low_pages, high_pages = mins[index], maxs[index]
+        at_mid = []
+        # How many grants at ``mid`` already match each bracket end:
+        # those pin when the other end moves to ``mid``.
+        match_low = match_high = 0
+        for low_pages, high_pages, low_grant, high_grant in zip(
+            act_mins, act_maxs, at_low, at_high
+        ):
             pages = int(mid * high_pages)
             if pages < low_pages:
                 pages = low_pages
             elif pages > high_pages:
                 pages = high_pages
+            at_mid.append(pages)
             total += pages
+            if pages == low_grant:
+                match_low += 1
+            elif pages == high_grant:
+                match_high += 1
         if total <= memory:
             low = mid
+            at_low = at_mid
+            pinning = match_high
         else:
             high = mid
-        still_active = []
-        for index in active:
-            low_pages, high_pages = mins[index], maxs[index]
-            at_low = int(low * high_pages)
-            if at_low < low_pages:
-                at_low = low_pages
-            elif at_low > high_pages:
-                at_low = high_pages
-            at_high = int(high * high_pages)
-            if at_high < low_pages:
-                at_high = low_pages
-            elif at_high > high_pages:
-                at_high = high_pages
-            if at_low == at_high:
-                grants[index] = at_low
-                pinned_sum += at_low
-            else:
-                still_active.append(index)
-        active = still_active
-        if len(active) <= 1:
-            break
+            at_high = at_mid
+            pinning = match_low
+        if pinning:
+            keep = []
+            for k, pages in enumerate(at_low):
+                if pages == at_high[k]:
+                    grants[active[k]] = pages
+                    pinned_sum += pages
+                else:
+                    keep.append(k)
+            active = [active[k] for k in keep]
+            act_mins = [act_mins[k] for k in keep]
+            act_maxs = [act_maxs[k] for k in keep]
+            at_low = [at_low[k] for k in keep]
+            at_high = [at_high[k] for k in keep]
+            if len(active) <= 1:
+                break
     if len(active) == 1:
         index = active[0]
         budget = memory - pinned_sum
         # The invariant keeps budget >= mins[index]; clamp the top.
         grants[index] = budget if budget < maxs[index] else maxs[index]
     else:
-        for index in active:
-            low_pages, high_pages = mins[index], maxs[index]
-            pages = int(low * high_pages)
-            if pages < low_pages:
-                pages = low_pages
-            elif pages > high_pages:
-                pages = high_pages
+        for index, pages in zip(active, at_low):
             grants[index] = pages
     return grants
+
+
+def _grants_at(fraction: float, mins: Sequence[int], maxs: Sequence[int]) -> List[int]:
+    """``clamp(int(fraction * max), min, max)`` per demand."""
+    grants = []
+    for low_pages, high_pages in zip(mins, maxs):
+        pages = int(fraction * high_pages)
+        if pages < low_pages:
+            pages = low_pages
+        elif pages > high_pages:
+            pages = high_pages
+        grants.append(pages)
+    return grants
+
+
+def _threshold_estimate(mins: Sequence[int], maxs: Sequence[int], memory: int) -> float:
+    """The fraction at which the integer total first exceeds ``memory``.
+
+    In exact arithmetic the total at fraction ``f`` is the sum of the
+    minima plus the number of grant boundaries ``k / max`` (one per
+    page above each query's minimum) at or below ``f``, so the
+    threshold is the boundary that takes the count past the spare
+    pages.  A merge over each query's next boundaries counts them off;
+    when the spare pages are many, the continuous relaxation
+    (:func:`_relaxed_fraction`) first jumps close below the threshold
+    so only a few remain.  Float rounding can move a boundary by an
+    ulp, which the caller's checks absorb.
+    """
+    needed = memory + 1 - sum(mins)
+    if needed <= 2 * len(mins):
+        held = mins
+    else:
+        held = _grants_at(_relaxed_fraction(mins, maxs, memory + 0.5), mins, maxs)
+        needed = memory + 1 - sum(held)
+    if needed <= 0:
+        return 0.0
+    boundaries = [
+        ((pages + 1) / high_pages, pages + 1, high_pages)
+        for pages, high_pages in zip(held, maxs)
+        if pages < high_pages
+    ]
+    heapq.heapify(boundaries)
+    while boundaries:
+        boundary, pages, high_pages = boundaries[0]
+        needed -= 1
+        if needed == 0:
+            return boundary
+        if pages < high_pages:
+            heapq.heapreplace(
+                boundaries, ((pages + 1) / high_pages, pages + 1, high_pages)
+            )
+        else:
+            heapq.heappop(boundaries)
+    return 1.0
+
+
+def _relaxed_fraction(mins: Sequence[int], maxs: Sequence[int], target: float) -> float:
+    """Solve ``T(f) = target`` for ``T(f) = sum(clamp(f * max, min, max))``.
+
+    ``T`` drops the truncation (under one page per query strictly
+    between its bounds), so ``total(f) <= T(f)``: a fraction whose
+    relaxed total is ``memory + 1/2`` has an integer total within
+    ``memory``.  ``T`` is piecewise linear, each query rising from
+    ``f = min/max`` to 1 with slope ``max``; 1.0 if ``target`` is out
+    of reach.
+    """
+    rising = sorted(
+        [
+            (low_pages / high_pages, low_pages, high_pages)
+            for low_pages, high_pages in zip(mins, maxs)
+            if high_pages > low_pages
+        ]
+    )
+    # T(f) = offset + slope * f on the current segment.
+    offset = sum(mins)
+    slope = 0
+    for count, (_ratio, low_pages, high_pages) in enumerate(rising, 1):
+        offset -= low_pages
+        slope += high_pages
+        end = rising[count][0] if count < len(rising) else 1.0
+        fraction = (target - offset) / slope
+        if fraction <= end:
+            return fraction
+    return 1.0
 
 
 def _admit_by_minimum(

@@ -21,12 +21,14 @@ The broker sees the world as a stream of four operations:
   every ``SampleSize`` departures (the broker counts the window; the
   host supplies the utilisation telemetry only it can measure).
 
-Both hosts drive the identical policy objects through this interface:
+One host-neutral caller drives this interface:
+:class:`~repro.core.host.BrokerHost`, the shared query lifecycle, for
+the two hosts --
 
 * the DES :class:`~repro.rtdbs.query_manager.QueryManager` (simulated
-  time, simulated resources) -- the refactor is bit-identical to the
-  pre-broker code path;
-* the live asyncio gateway of :mod:`repro.serve` (wall-clock time,
+  time, simulated resources) -- bit-identical to the pre-broker code
+  path;
+* the live :class:`~repro.serve.gateway.LiveGateway` (event-loop time,
   real operators over in-memory relations).
 
 Every operation can be recorded by a :class:`BrokerTrace`; replaying a
@@ -41,6 +43,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -50,6 +53,9 @@ from repro.policies.base import BatchStats, DepartureRecord, MemoryPolicy
 #: Population states (a query is *admitted* once it holds pages).
 WAITING = "waiting"
 RUNNING = "running"
+
+#: ED order: earliest deadline first, query id breaking ties.
+_ED_ORDER = attrgetter("priority", "qid")
 
 #: On-disk trace identity: the header line of every saved trace names
 #: this format and version; :meth:`BrokerTrace.load` refuses anything
@@ -238,6 +244,9 @@ class MemoryBroker:
         self.invariants = None
 
         self._entries: Dict[int, BrokerEntry] = {}
+        # Each present query's demand, built on its first reallocation:
+        # the envelope never changes, so later decisions reuse it.
+        self._demands: Dict[int, QueryDemand] = {}
         # -- departure counters (the host's statistics read these) -----
         self.departures = 0
         self.completions = 0
@@ -294,6 +303,7 @@ class MemoryBroker:
     def release(self, qid: int) -> None:
         """A query leaves the population (completion or abort)."""
         self._entries.pop(qid, None)
+        self._demands.pop(qid, None)
         if self.recorder is not None:
             self.recorder.record(("release", qid))
 
@@ -319,7 +329,7 @@ class MemoryBroker:
     @property
     def present(self) -> List[BrokerEntry]:
         """All present queries in ED order."""
-        return sorted(self._entries.values(), key=lambda e: (e.priority, e.qid))
+        return sorted(self._entries.values(), key=_ED_ORDER)
 
     @property
     def present_count(self) -> int:
@@ -346,16 +356,19 @@ class MemoryBroker:
         or start queries, shrink running grants) *in ED order*.
         """
         entries = self.present
-        demands = [
-            QueryDemand(
-                entry.qid,
-                entry.priority,
-                entry.min_pages,
-                entry.max_pages,
-                class_name=entry.class_name,
-            )
-            for entry in entries
-        ]
+        cache = self._demands
+        demands = []
+        for entry in entries:
+            demand = cache.get(entry.qid)
+            if demand is None:
+                demand = cache[entry.qid] = QueryDemand(
+                    entry.qid,
+                    entry.priority,
+                    entry.min_pages,
+                    entry.max_pages,
+                    class_name=entry.class_name,
+                )
+            demands.append(demand)
         allocation = self.policy.allocate(demands, self.total_pages, now=now)
         if self.invariants is not None:
             self.invariants.check_allocation(self, demands, allocation)
@@ -368,7 +381,7 @@ class MemoryBroker:
             entry.pages = pages
         decision = AllocationDecision(
             allocation=allocation,
-            order=tuple(entry.qid for entry in entries),
+            order=tuple([entry.qid for entry in entries]),
             admitted=tuple(admitted),
         )
         if self.recorder is not None:

@@ -16,8 +16,9 @@ conservation laws that must hold on *every* workload:
   envelope (MinMax never grants below the minimum), the vector never
   oversubscribes memory (PMM admission never exceeds the pool), and an
   explicit MPL limit is honoured;
-* **population** -- ``arrivals = departures + present`` and
-  ``departures = completions + misses`` at every departure;
+* **population** -- ``arrivals - shed = departures + present``,
+  ``departures = completions + misses``, and every present query's
+  grant matches its ledger entry, at every departure of either host;
 * **disk queues** -- every submitted access is accounted for: prefetch
   cache hit, served by the arm, cancelled while queued, or still
   queued -- nothing lost, nothing double-served;
@@ -66,6 +67,9 @@ class InvariantChecker:
         #: :class:`~repro.serve.dataplane.LiveBufferPool``), when the
         #: checker watches a standalone broker with a live data plane.
         self.pool = None
+        #: The live :class:`~repro.core.host.BrokerHost` (attached with
+        #: its broker) whose departures run the population laws.
+        self.host = None
         self.checks: Dict[str, int] = {}
         #: Every violation message, in detection order.  A violation
         #: raised inside a simulation *process* is captured by the
@@ -100,6 +104,9 @@ class InvariantChecker:
         if self.pool is not None:
             self.pool.invariants = None
             self.pool = None
+        if self.host is not None:
+            self.host.invariants = None
+            self.host = None
 
     def attach(self, system: "RTDBSystem") -> "InvariantChecker":
         """Install the checker on a built (not yet run) system.
@@ -118,15 +125,19 @@ class InvariantChecker:
         system.buffers.invariants = self
         return self
 
-    def attach_broker(self, broker: "MemoryBroker", pool=None) -> "InvariantChecker":
+    def attach_broker(
+        self, broker: "MemoryBroker", pool=None, host=None
+    ) -> "InvariantChecker":
         """Install the checker on a standalone broker (no simulator).
 
         The live serving layer uses this: the allocation-contract laws
-        are checked on every decision the broker makes, and -- when the
-        live shared buffer pool is given -- the buffer-ledger laws are
-        checked on every pool update too (``pool`` exposes the same
-        ledger surface as the DES :class:`BufferManager`, so
-        :meth:`check_buffers` applies verbatim).
+        are checked on every decision the broker makes; when the live
+        shared buffer pool is given, the buffer-ledger laws are checked
+        on every pool update too (``pool`` exposes the same ledger
+        surface as the DES :class:`BufferManager`, so
+        :meth:`check_buffers` applies verbatim); and when the
+        :class:`~repro.core.host.BrokerHost` is given, population
+        conservation is checked on every departure.
         """
         if self.system is not None or self.broker is not None or self.pool is not None:
             self.detach()
@@ -136,6 +147,9 @@ class InvariantChecker:
         if pool is not None:
             self.pool = pool
             pool.invariants = self
+        if host is not None:
+            self.host = host
+            host.invariants = self
         return self
 
     def _fail(self, law: str, detail: str) -> None:
@@ -143,7 +157,7 @@ class InvariantChecker:
             now = self.system.sim.now
             policy = self.system.policy.name
         elif self.broker is not None:
-            now = float("nan")
+            now = self.host.clock.now if self.host is not None else float("nan")
             policy = self.broker.policy.name
         else:
             now = float("nan")
@@ -229,38 +243,37 @@ class InvariantChecker:
             )
 
     # ------------------------------------------------------------------
-    # hook: QueryManager._depart, after every departure
+    # hook: BrokerHost.depart, after every departure (both hosts)
     # ------------------------------------------------------------------
-    def check_population(self, query_manager) -> None:
+    def check_population(self, host) -> None:
         """Query-count conservation, checked on every departure."""
         self.checks["population"] += 1
-        departures = query_manager.departures
-        completions = query_manager.completions
-        misses = query_manager.misses
+        departures = host.departures
+        completions = host.completions
+        misses = host.misses
         if completions + misses != departures:
             self._fail(
                 "population",
                 f"departures {departures} != completions {completions} + "
                 f"misses {misses}",
             )
-        system = self.system
-        if system is not None:
-            arrivals = system.source.arrivals
-            present = len(query_manager._jobs)
-            if arrivals != departures + present:
-                self._fail(
-                    "population",
-                    f"arrivals {arrivals} != departures {departures} + "
-                    f"present {present}",
-                )
+        counts = host.counts
+        admitted = counts.arrivals - counts.shed
+        present = len(host.jobs)
+        if admitted != departures + present:
+            self._fail(
+                "population",
+                f"arrivals {counts.arrivals} - shed {counts.shed} != "
+                f"departures {departures} + present {present}",
+            )
         # Every grant held by a present query matches the ledger.
-        buffers = query_manager.buffers
-        for qid, job in query_manager._jobs.items():
-            if buffers.reservation_of(qid) != job.grant.pages:
+        memory = host.memory
+        for qid, job in host.jobs.items():
+            if memory.reservation_of(qid) != job.grant.pages:
                 self._fail(
                     "population",
                     f"query {qid} holds a {job.grant.pages}-page grant but the "
-                    f"ledger records {buffers.reservation_of(qid)}",
+                    f"ledger records {memory.reservation_of(qid)}",
                 )
 
     # ------------------------------------------------------------------
@@ -277,7 +290,7 @@ class InvariantChecker:
         if self.failures:
             raise InvariantViolation(self.failures[0])
         query_manager = system.query_manager
-        present = len(query_manager._jobs)
+        present = len(query_manager.jobs)
         if system.source.arrivals != query_manager.departures + present:
             self._fail(
                 "final",

@@ -1,23 +1,24 @@
-"""The Query Manager: query lifecycle under firm deadlines.
+"""The DES Query Manager: the shared query lifecycle on a simulated clock.
 
-Responsibilities (Section 4, plus firm-RTDBS semantics [Hari90]):
+The lifecycle itself -- ED-ordered admission through the
+:class:`~repro.core.broker.MemoryBroker`, firm-deadline aborts,
+departure records and ``SampleSize`` batch feedback -- lives once, in
+:class:`~repro.core.host.BrokerHost`, shared by the two hosts: this
+simulator adapter and the live :class:`~repro.serve.gateway.LiveGateway`.
+:class:`QueryManager` binds it to the simulation (Section 4, plus
+firm-RTDBS semantics [Hari90]):
 
-* keep the population of present queries (waiting for admission or
-  executing) ordered by Earliest Deadline;
-* drive the simulator-agnostic :class:`~repro.core.broker.MemoryBroker`
-  on every arrival / departure / policy request, then enact its
-  allocation decision: admit waiting queries granted memory, adjust
-  running queries' grants (operators adapt), and suspend those whose
-  grant dropped to zero;
-* translate operator requests (CPU bursts, disk accesses, allocation
-  waits) into simulated resource usage, charging the Table 4 "start an
-  I/O" CPU cost before every disk access and consulting the buffer
-  pool's LRU region for cacheable reads;
-* abort a query the instant its deadline expires, wherever it is,
-  releasing its memory and temp files -- it then counts as a missed,
-  "served" query;
-* after every ``SampleSize`` departures, hand the policy a batch
-  summary (utilisations and realized MPL over the batch window).
+* the clock is the :class:`~repro.sim.simulator.Simulator`; deadline
+  expiries are simulator timeouts;
+* an admitted query runs as a simulator process that translates its
+  operator's requests (CPU bursts, disk accesses, allocation waits)
+  into simulated resource usage, charging the Table 4 "start an I/O"
+  CPU cost before every disk access and consulting the buffer pool's
+  LRU region for cacheable reads;
+* an expired query's outstanding resource request is withdrawn and its
+  process interrupted, wherever it is;
+* grants are installed in the :class:`BufferManager`, and the batch
+  window reads the CPU and disk busy monitors.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.broker import MemoryBroker
-from repro.policies.base import BatchStats, DepartureRecord, MemoryPolicy
+from repro.core.host import ABORTED, DONE, RUNNING, WAITING, BrokerHost
+from repro.policies.base import MemoryPolicy
 from repro.queries.base import MemoryGrant, Operator
 from repro.queries.requests import AllocationWait, CPUBurst, DiskAccess, READ
 from repro.rtdbs.buffer_manager import BufferManager
@@ -34,15 +36,11 @@ from repro.rtdbs.config import SimulationConfig
 from repro.rtdbs.cpu import CPU
 from repro.rtdbs.disk import Disk
 from repro.sim.events import Event, Interrupt
-from repro.sim.monitor import TimeWeighted
 from repro.sim.resources import CallbackBurst, ServiceRequest
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
-WAITING = "waiting"
-RUNNING = "running"
-DONE = "done"
-ABORTED = "aborted"
+__all__ = ["ABORTED", "DONE", "RUNNING", "WAITING", "QueryJob", "QueryManager"]
 
 
 class _DiskOp(Event):
@@ -120,15 +118,18 @@ class QueryJob:
     deadline: float
     standalone: float
     state: str = WAITING
+    submit_time: float = 0.0
     admit_time: Optional[float] = None
     process: Optional[Process] = None
     #: Outstanding resource request handle: a :class:`_DiskOp`, a CPU
     #: :class:`ServiceRequest`, or an allocation-wait :class:`Event`.
     pending: Optional[object] = None
     #: Deadline-expiry timer (cancelled on completion).
-    expiry_timer: Optional[Event] = None
+    expiry: Optional[Event] = None
     demand_min: int = 0
     demand_max: int = 0
+    #: Simulated traffic carries no tenant tags.
+    tenant = None
 
     @property
     def priority(self) -> float:
@@ -136,13 +137,12 @@ class QueryJob:
         return self.deadline
 
     @property
-    def time_constraint(self) -> float:
-        """Deadline minus arrival."""
-        return self.deadline - self.arrival
+    def arrival_time(self) -> float:
+        return self.arrival
 
 
-class QueryManager:
-    """Lifecycle engine binding operators to the simulated resources."""
+class QueryManager(BrokerHost):
+    """The DES adapter: binds the shared lifecycle to simulated resources."""
 
     def __init__(
         self,
@@ -153,127 +153,72 @@ class QueryManager:
         disks: List[Disk],
         buffers: BufferManager,
     ):
+        super().__init__(
+            MemoryBroker(policy, buffers.total_pages, config.pmm.sample_size),
+            clock=sim,
+            memory=buffers,
+            busy=(cpu.busy, *(disk.busy for disk in disks)),
+            firm_deadlines=config.firm_deadlines,
+        )
         self.sim = sim
         self.config = config
         self.policy = policy
         self.cpu = cpu
         self.disks = disks
         self.buffers = buffers
-
-        self._jobs: Dict[int, QueryJob] = {}
-        #: The simulator-agnostic admission/allocation core.  It owns
-        #: the policy-facing population, the departure counters, and
-        #: the batch feedback cadence; this manager enacts its
-        #: decisions against the simulated resources.
-        self.broker = MemoryBroker(
-            policy, buffers.total_pages, config.pmm.sample_size
-        )
-        #: Time-weighted number of admitted queries (the observed MPL).
-        self.mpl_monitor = TimeWeighted(sim, initial=0.0)
-        #: Time-weighted number of present queries (admitted + waiting).
-        self.present_monitor = TimeWeighted(sim, initial=0.0)
-        #: Callbacks invoked with each DepartureRecord (Source wires its
-        #: statistics collection here).
-        self.departure_listeners: List = []
         #: Optional stop condition: set by the system when a departure
         #: quota is reached.
         self.stop_event: Optional[Event] = None
         self.max_departures: Optional[int] = None
 
-        # Utilisation snapshots for the policy's batch feedback.
-        self._batch_snapshots = self._take_snapshots()
-        self._reallocating = False
-        #: Optional :class:`repro.rtdbs.invariants.InvariantChecker`;
-        #: ``None`` (the default) keeps the hot paths hook-free.
-        self.invariants = None
-
-    # -- departure counters live on the broker --------------------------
-    @property
-    def departures(self) -> int:
-        return self.broker.departures
-
-    @property
-    def completions(self) -> int:
-        return self.broker.completions
-
-    @property
-    def misses(self) -> int:
-        return self.broker.misses
-
-    @property
-    def batches_delivered(self) -> int:
-        return self.broker.batches_delivered
-
     # ------------------------------------------------------------------
-    # population management
+    # adapter hooks
     # ------------------------------------------------------------------
-    def submit(self, job: QueryJob) -> None:
-        """A new query arrives: register, arm its expiry, reallocate."""
-        if job.qid in self._jobs:
-            raise ValueError(f"duplicate query id {job.qid}")
-        # Demands are capped at the pool size so an oversized query can
-        # still run (in multiple passes) rather than starve forever.
-        job.demand_max = min(job.operator.max_pages, self.buffers.total_pages)
-        job.demand_min = min(job.operator.min_pages, job.demand_max)
-        self._jobs[job.qid] = job
-        self.broker.register(
-            job.qid, job.class_name, job.priority, job.demand_min, job.demand_max
-        )
-        self.present_monitor.add(1)
-        if self.config.firm_deadlines:
-            delay = max(0.0, job.deadline - self.sim.now)
-            timer = self.sim.timeout(delay)
-            timer.callbacks.append(lambda _evt, j=job: self._expire(j))
-            job.expiry_timer = timer
-        self.reallocate()
+    def _apply_memory(self, allocation: Dict[int, int]) -> None:
+        self.buffers.apply_allocation(allocation)
 
-    @property
-    def present_jobs(self) -> List[QueryJob]:
-        """All present queries in ED order."""
-        return sorted(self._jobs.values(), key=lambda job: (job.deadline, job.qid))
+    def _arm_expiry(self, job: QueryJob) -> None:
+        timer = self.sim.timeout(max(0.0, job.deadline - self.sim.now))
+        timer.callbacks.append(lambda _evt, j=job: self.expire(j))
+        job.expiry = timer
 
-    @property
-    def admitted_count(self) -> int:
-        """Queries currently holding memory."""
-        return sum(1 for job in self._jobs.values() if job.grant.pages > 0)
+    def _cancel_expiry(self, job: QueryJob) -> None:
+        job.expiry.cancel()
 
-    # ------------------------------------------------------------------
-    # allocation
-    # ------------------------------------------------------------------
-    def reallocate(self) -> None:
-        """Ask the broker for a fresh allocation decision and enact it.
-
-        Grants are enacted in the decision's ED order -- the order the
-        pre-broker code walked the population in -- so process creation
-        and wake-ups interleave identically and fixed-seed runs stay
-        bit-identical.
-        """
-        if self._reallocating:  # defensive: no re-entrant allocation
-            return
-        self._reallocating = True
-        try:
-            decision = self.broker.reallocate(now=self.sim.now)
-            allocation = decision.allocation
-            self.buffers.apply_allocation(allocation)
-            jobs = self._jobs
-            for qid in decision.order:
-                job = jobs[qid]
-                pages = allocation.get(qid, 0)
-                if job.state == WAITING and pages > 0:
-                    self._admit(job, pages)
-                elif job.state == RUNNING:
-                    job.grant.set(pages)
-            self.mpl_monitor.record(self.admitted_count)
-        finally:
-            self._reallocating = False
-
-    def _admit(self, job: QueryJob, pages: int) -> None:
-        job.state = RUNNING
-        job.admit_time = self.sim.now
-        job.grant.set(pages)
-        job.grant.started = True  # fluctuations count from here on
+    def _start(self, job: QueryJob) -> None:
         job.process = self.sim.process(self._drive(job), name=f"query-{job.qid}")
         job.process.callbacks.append(lambda _evt, j=job: self._finished(j))
+
+    def _cancel(self, job: QueryJob) -> None:
+        pending = job.pending
+        if pending is not None:
+            if type(pending) is _DiskOp:
+                pending.cancel_op()
+            elif isinstance(pending, ServiceRequest):
+                self.cpu.cancel(pending)
+            else:
+                pending.cancel()  # allocation-wait wake event
+            job.pending = None
+        if job.process is not None:  # admitted: interrupt the operator
+            job.process.interrupt("deadline")
+
+    def _finished(self, job: QueryJob) -> None:
+        """The query's process ended."""
+        if job.state != RUNNING:
+            return  # already aborted
+        if not job.process.ok:
+            raise job.process.value  # surface model bugs immediately
+        self.complete(job)
+
+    def depart(self, job: QueryJob, missed: bool) -> None:
+        super().depart(job, missed)
+        if (
+            self.max_departures is not None
+            and self.departures >= self.max_departures
+            and self.stop_event is not None
+            and not self.stop_event.triggered
+        ):
+            self.stop_event.succeed(None)
 
     # ------------------------------------------------------------------
     # operator driving
@@ -329,126 +274,5 @@ class QueryManager:
                 else:  # pragma: no cover - operator contract violation
                     raise TypeError(f"unknown operator request {request!r}")
         except Interrupt:
-            # Firm-deadline abort: fall through, _expire() cleans up.
+            # Firm-deadline abort: fall through, expire() cleans up.
             return
-
-    # ------------------------------------------------------------------
-    # departures
-    # ------------------------------------------------------------------
-    def _finished(self, job: QueryJob) -> None:
-        """The operator ran to completion."""
-        if job.state not in (RUNNING,):
-            return  # already aborted
-        if job.process is not None and not job.process.ok:
-            raise job.process.value  # surface model bugs immediately
-        job.state = DONE
-        if job.expiry_timer is not None:
-            job.expiry_timer.cancel()
-        missed = self.sim.now > job.deadline + 1e-9
-        self._depart(job, missed=missed)
-
-    def _expire(self, job: QueryJob) -> None:
-        """Firm deadline reached: the query loses all value [Hari90]."""
-        if job.state in (DONE, ABORTED):
-            return
-        was_running = job.state == RUNNING
-        job.state = ABORTED
-        pending = job.pending
-        if pending is not None:
-            if type(pending) is _DiskOp:
-                pending.cancel_op()
-            elif isinstance(pending, ServiceRequest):
-                self.cpu.cancel(pending)
-            else:
-                pending.cancel()  # allocation-wait wake event
-            job.pending = None
-        if was_running and job.process is not None:
-            job.process.interrupt("deadline")
-        self._depart(job, missed=True)
-
-    def _depart(self, job: QueryJob, missed: bool) -> None:
-        job.operator.release_resources()
-        self.buffers.release(job.qid)
-        del self._jobs[job.qid]
-        self.broker.release(job.qid)
-        self.present_monitor.add(-1)
-
-        now = self.sim.now
-        if job.admit_time is None:
-            waiting = now - job.arrival
-            execution = 0.0
-        else:
-            waiting = job.admit_time - job.arrival
-            execution = now - job.admit_time
-        record = DepartureRecord(
-            qid=job.qid,
-            class_name=job.class_name,
-            missed=missed,
-            arrival=job.arrival,
-            departure=now,
-            waiting_time=waiting,
-            execution_time=execution,
-            time_constraint=job.time_constraint,
-            max_demand=job.demand_max,
-            min_demand=job.demand_min,
-            operand_io_count=job.operator.operand_io_count,
-            memory_fluctuations=job.grant.fluctuations,
-        )
-
-        self.broker.note_departure(missed)
-
-        for listener in self.departure_listeners:
-            listener(record)
-        window = self.broker.departure_feedback(record)
-        if self.invariants is not None:
-            self.invariants.check_population(self)
-
-        if window is not None:
-            self._close_batch(window)
-
-        self.reallocate()
-
-        if (
-            self.max_departures is not None
-            and self.departures >= self.max_departures
-            and self.stop_event is not None
-            and not self.stop_event.triggered
-        ):
-            self.stop_event.succeed(None)
-
-    # ------------------------------------------------------------------
-    # batch feedback
-    # ------------------------------------------------------------------
-    def _take_snapshots(self) -> Dict[str, object]:
-        return {
-            "cpu": self.cpu.busy.snapshot(),
-            "disks": [disk.busy.snapshot() for disk in self.disks],
-            "mpl": self.mpl_monitor.snapshot(),
-            "pool": (self.buffers.cache.hits, self.buffers.cache.misses),
-        }
-
-    def _close_batch(self, window) -> None:
-        """Build the batch telemetry only this host can measure and
-        hand it to the broker (which forwards it to the policy)."""
-        snapshots = self._batch_snapshots
-        pool_hits, pool_misses = snapshots.get("pool", (0, 0))
-        consulted = (self.buffers.cache.hits - pool_hits) + (
-            self.buffers.cache.misses - pool_misses
-        )
-        stats = BatchStats(
-            time=self.sim.now,
-            served=window.served,
-            missed=window.missed,
-            realized_mpl=self.mpl_monitor.mean_since(snapshots["mpl"]),
-            cpu_utilization=min(1.0, self.cpu.busy.mean_since(snapshots["cpu"])),
-            disk_utilizations=tuple(
-                min(1.0, disk.busy.mean_since(snapshot))
-                for disk, snapshot in zip(self.disks, snapshots["disks"])
-            ),
-            pool_hit_ratio=(
-                (self.buffers.cache.hits - pool_hits) / consulted if consulted else 0.0
-            ),
-        )
-        self._batch_snapshots = self._take_snapshots()
-        self.broker.deliver_batch(stats)
-        # reallocate() runs unconditionally right after in _depart().

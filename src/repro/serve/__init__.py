@@ -40,7 +40,7 @@ from repro.serve.dataplane import (
 from repro.serve.gateway import LiveGateway, LiveReport, run_live
 from repro.serve.router import HashRing, Migration, ShardLink, ShardRouter
 from repro.serve.server import LiveServer
-from repro.serve.shard import ShardProcess, launch_shards, shard_config
+from repro.serve.shard import ServeProcess, launch_shards, shard_config
 from repro.serve.shootout import (
     LiveShootoutReport,
     find_multitenant_scenario,
@@ -69,8 +69,8 @@ __all__ = [
     "LiveShootoutReport",
     "Migration",
     "PageStore",
+    "ServeProcess",
     "ShardLink",
-    "ShardProcess",
     "ShardRouter",
     "TrackedAllocator",
     "build_schedule",

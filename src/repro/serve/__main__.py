@@ -342,14 +342,14 @@ def _cmd_route(args) -> int:
             try:
                 code = shard.drain()
             except Exception as error:
-                print(f"repro.serve: shard {shard.shard_id} failed to "
-                      f"drain: {error}", flush=True)
+                print(f"repro.serve: {shard.name} failed to drain: {error}",
+                      flush=True)
                 shard.kill()
                 exit_code = exit_code or 1
                 continue
             if code != 0 or not shard.drained_cleanly:
-                print(f"repro.serve: shard {shard.shard_id} exited {code} "
-                      "without draining cleanly; output:\n  "
+                print(f"repro.serve: {shard.name} exited {code} without "
+                      "draining cleanly; output:\n  "
                       + "\n  ".join(shard.lines), flush=True)
                 exit_code = exit_code or 1
     return exit_code

@@ -297,24 +297,20 @@ class FaultInjector:
 
     def arm(self) -> None:
         """Schedule every window boundary (call after ``gateway.start``)."""
-        gateway = self.gateway
-        loop = gateway._loop
-        at = lambda sim: gateway._t0 + gateway._to_wall(sim)  # noqa: E731
+        call_at = self.gateway.clock.call_at
         for window in self.schedule.disk_windows:
             self._timers.append(
-                loop.call_at(at(window.start), self._guard, self._open_disk, window)
+                call_at(window.start, self._guard, self._open_disk, window)
             )
             self._timers.append(
-                loop.call_at(at(window.end), self._guard, self._close_disk, window)
+                call_at(window.end, self._guard, self._close_disk, window)
             )
         for index, window in enumerate(self.schedule.memory_windows):
             self._timers.append(
-                loop.call_at(
-                    at(window.start), self._guard, self._open_thief, index, window
-                )
+                call_at(window.start, self._guard, self._open_thief, index, window)
             )
             self._timers.append(
-                loop.call_at(at(window.end), self._guard, self._close_thief, index)
+                call_at(window.end, self._guard, self._close_thief, index)
             )
 
     def cancel(self) -> None:
@@ -334,7 +330,7 @@ class FaultInjector:
         try:
             fn(*args)
         except Exception as error:  # timer context: surface via drain()
-            self.gateway._fail(error)
+            self.gateway.fail(error)
 
     def _open_disk(self, window: DiskFaultWindow) -> None:
         disk = self.gateway.disks[window.disk]

@@ -1,13 +1,15 @@
 """The live admission gateway: the paper's policies against real queries.
 
-:class:`LiveGateway` is an asyncio service that does for wall-clock
-queries what the DES :class:`~repro.rtdbs.query_manager.QueryManager`
-does for simulated ones -- and drives the *identical*
-:class:`~repro.core.broker.MemoryBroker` /
-:class:`~repro.policies.base.MemoryPolicy` objects to do it:
+:class:`LiveGateway` is the live one of the two hosts of the shared
+query lifecycle, :class:`~repro.core.host.BrokerHost`: the DES
+:class:`~repro.rtdbs.query_manager.QueryManager` runs it on the
+simulator clock, this asyncio service runs it on the event loop's
+clock (:class:`LoopClock`) against real concurrent queries -- the
+*identical* :class:`~repro.core.broker.MemoryBroker` /
+:class:`~repro.policies.base.MemoryPolicy` objects, the same
+admission, enactment, departure and batch-feedback code.  On the
+live side:
 
-* submissions enter the broker's wait queue and every arrival and
-  departure triggers a re-allocation decision;
 * decisions are enforced through a
   :class:`~repro.serve.dataplane.TrackedAllocator` (an independent
   conservation-law ledger) before any grant reaches an operator;
@@ -30,6 +32,10 @@ does for simulated ones -- and drives the *identical*
 * deadlines are enforced firmly: an expiry timer aborts a query
   wherever it is (waiting or mid-operator), releasing its memory and
   temp extents, and it counts as a missed, served query;
+* transient policy faults are absorbed (the previous allocation
+  stands), overloaded arrivals can be shed at the door, faulted disks
+  are survived with retries and circuit breakers, and :meth:`close`
+  proves the grant ledger empty;
 * per-class served/missed counts, throughput, admission-decision
   latency, and the observed MPL are collected in a
   :class:`LiveReport`.
@@ -44,12 +50,21 @@ from __future__ import annotations
 
 import asyncio
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.broker import BrokerTrace, MemoryBroker
-from repro.policies.base import BatchStats, DepartureRecord, MemoryPolicy
+from repro.core.broker import AllocationDecision, BrokerTrace, MemoryBroker
+from repro.core.host import (
+    ABORTED,
+    DONE,
+    RUNNING,
+    WAITING,
+    BrokerHost,
+    CumulativeBusy,
+    HostCounts,
+)
+from repro.policies.base import MemoryPolicy
 from repro.policies.registry import make_policy
 from repro.queries.base import MemoryGrant, Operator
 from repro.queries.cost_model import StandAloneCostModel
@@ -72,10 +87,6 @@ from repro.serve.faults import (
 )
 from repro.serve.workload import LiveArrival, LiveSchedule, make_operator
 
-WAITING = "waiting"
-RUNNING = "running"
-DONE = "done"
-ABORTED = "aborted"
 #: Rejected at arrival by overload shedding: never registered, never
 #: granted, answered with a structured ``shed`` response.
 SHED = "shed"
@@ -178,6 +189,42 @@ class PriorityWorkerGate:
         self._free = free
 
 
+class LoopClock:
+    """Simulated seconds on the running event loop.
+
+    ``now`` is the wall time since :meth:`start` divided by
+    ``time_scale`` (0 before the start); :meth:`call_at` schedules a
+    callback at a simulated instant.
+    """
+
+    def __init__(self, time_scale: float):
+        self.time_scale = time_scale
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
+        self.t0 = 0.0
+
+    def start(self, loop: asyncio.AbstractEventLoop) -> None:
+        self.loop = loop
+        self.t0 = loop.time()
+
+    @property
+    def now(self) -> float:
+        return self.wall() / self.time_scale
+
+    def wall(self) -> float:
+        """Wall seconds since the start."""
+        return self.loop.time() - self.t0 if self.loop is not None else 0.0
+
+    def to_wall(self, sim_seconds: float) -> float:
+        return sim_seconds * self.time_scale
+
+    def at(self, sim_seconds: float) -> float:
+        """The loop time of a simulated instant."""
+        return self.t0 + sim_seconds * self.time_scale
+
+    def call_at(self, sim_seconds: float, callback, *args) -> asyncio.TimerHandle:
+        return self.loop.call_at(self.at(sim_seconds), callback, *args)
+
+
 @dataclass
 class LiveQuery:
     """One in-flight query's runtime state."""
@@ -190,47 +237,52 @@ class LiveQuery:
     demand_max: int = 0
     submitted_wall: float = 0.0
     admitted_wall: Optional[float] = None
+    #: Host clock stamps (simulated seconds).
+    submit_time: float = 0.0
+    admit_time: Optional[float] = None
     task: Optional[asyncio.Task] = None
     expiry: Optional[asyncio.TimerHandle] = None
 
-
-@dataclass
-class LiveClassStats:
-    """Per-class live outcome counters."""
-
-    arrivals: int = 0
-    served: int = 0
-    missed: int = 0
-    #: Rejected at arrival by overload shedding (not served, not missed).
-    shed: int = 0
+    @property
+    def qid(self) -> int:
+        return self.arrival.qid
 
     @property
-    def completed(self) -> int:
-        return self.served - self.missed
+    def class_name(self) -> str:
+        return self.arrival.class_name
 
     @property
-    def miss_ratio(self) -> float:
-        return self.missed / self.served if self.served else 0.0
+    def tenant(self) -> str:
+        return self.arrival.tenant
+
+    @property
+    def deadline(self) -> float:
+        return self.arrival.deadline
+
+    @property
+    def arrival_time(self) -> float:
+        return self.arrival.arrival
 
 
 @dataclass
-class LiveReport:
-    """Everything one live run measured."""
+class LiveReport(HostCounts):
+    """Everything one live run measured.
 
-    policy: str
-    time_scale: float
-    workers: int
-    arrivals: int = 0
-    served: int = 0
-    missed: int = 0
+    The outcome counters (``arrivals`` / ``served`` / ``missed`` /
+    ``shed`` and their per-class and per-tenant breakdowns) are the
+    host's own: the gateway counts straight into its report.
+    """
+
+    policy: str = ""
+    time_scale: float = 0.0
+    workers: int = 0
     wall_seconds: float = 0.0
     sim_seconds: float = 0.0
-    per_class: Dict[str, LiveClassStats] = field(default_factory=dict)
     #: Admission decisions made (one per broker reallocation).
     decisions: int = 0
     decision_seconds: float = 0.0
     decision_max_seconds: float = 0.0
-    #: Time-weighted number of admitted queries (wall-clock weighted).
+    #: Time-weighted number of admitted queries.
     observed_mpl: float = 0.0
     pages_read: int = 0
     pages_written: int = 0
@@ -242,12 +294,7 @@ class LiveReport:
     #: queueing behind other queries' chunks (contention telemetry).
     disk_busy: Tuple[float, ...] = ()
     disk_queue: Tuple[float, ...] = ()
-    #: Per-tenant outcome counters (populated when arrivals carry a
-    #: tenant tag -- the multi-tenant server and ``--tenants`` mode).
-    per_tenant: Dict[str, LiveClassStats] = field(default_factory=dict)
     # -- degraded-mode telemetry (all zero on the no-fault path) -------
-    #: Arrivals rejected by overload shedding.
-    shed: int = 0
     #: Backoff retries against faulted disks.
     disk_retries: int = 0
     #: Cacheable reads rerouted to a healthy replica disk.
@@ -266,14 +313,6 @@ class LiveReport:
     client_cancels: int = 0
     #: Memory-pressure windows that shrank the effective pool.
     pool_shrinks: int = 0
-
-    @property
-    def completed(self) -> int:
-        return self.served - self.missed
-
-    @property
-    def miss_ratio(self) -> float:
-        return self.missed / self.served if self.served else 0.0
 
     @property
     def pool_hit_ratio(self) -> float:
@@ -305,8 +344,9 @@ class LiveReport:
         return self.decision_seconds / self.decisions * 1e6
 
 
-class LiveGateway:
-    """Admission control + grant enforcement for real concurrent queries."""
+class LiveGateway(BrokerHost):
+    """The live adapter: admission control and grant enforcement for
+    real concurrent queries on the event-loop clock."""
 
     def __init__(
         self,
@@ -338,12 +378,6 @@ class LiveGateway:
         self.workers = (
             workers if workers is not None else config.resources.num_disks + 1
         )
-        self.broker = MemoryBroker(
-            self.policy,
-            config.resources.memory_pages,
-            config.pmm.sample_size,
-            recorder=recorder,
-        )
         self.allocator = TrackedAllocator(config.resources.memory_pages)
         #: The shared, cross-query buffer pool (grants + LRU reuse).
         self.pool = LiveBufferPool(self.allocator)
@@ -357,95 +391,92 @@ class LiveGateway:
             fudge_factor=config.workload.fudge_factor,
             join_selectivity=config.workload.join_selectivity,
         )
+        self.report = LiveReport(
+            policy=self.policy.name, time_scale=time_scale, workers=self.workers
+        )
+        #: Wall seconds of CPU service paid through the worker gate.
+        self._busy_seconds = 0.0
+        clock = LoopClock(time_scale)
+        cpu_busy = CumulativeBusy(
+            clock, lambda: self._busy_seconds / (time_scale * self.workers)
+        )
+        disk_busy = [
+            CumulativeBusy(clock, lambda disk=disk: disk.busy_seconds / time_scale)
+            for disk in self.disks
+        ]
+        super().__init__(
+            MemoryBroker(
+                self.policy,
+                config.resources.memory_pages,
+                config.pmm.sample_size,
+                recorder=recorder,
+            ),
+            clock=clock,
+            memory=self.pool,
+            busy=(cpu_busy, *disk_busy),
+            firm_deadlines=config.firm_deadlines,
+            counts=self.report,
+        )
         if invariants:
             from repro.rtdbs.invariants import InvariantChecker
 
-            InvariantChecker().attach_broker(self.broker, pool=self.pool)
+            InvariantChecker().attach_broker(self.broker, pool=self.pool, host=self)
 
-        self._jobs: Dict[int, LiveQuery] = {}
-        #: Callbacks invoked with each DepartureRecord (the TCP server
-        #: resolves per-client response futures here).
-        self.departure_listeners: List = []
         #: Per-disk circuit breakers for the outage-survival path.  The
         #: cooldown and retry base are simulated seconds scaled to wall
         #: clock, so degraded-mode behaviour is time-scale invariant.
         self._breakers: List[CircuitBreaker] = [
-            CircuitBreaker(threshold=3, cooldown=self._to_wall(2.0))
+            CircuitBreaker(threshold=3, cooldown=clock.to_wall(2.0))
             for _ in range(config.resources.num_disks)
         ]
-        self._retry_base = self._to_wall(0.25)
+        self._retry_base = clock.to_wall(0.25)
         self._injector: Optional[FaultInjector] = (
             FaultInjector(faults, self)
             if faults is not None and (faults.disk_windows or faults.memory_windows)
             else None
         )
         self._gate: Optional[PriorityWorkerGate] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._t0 = 0.0
-        self._reallocating = False
         self._drained: Optional[asyncio.Event] = None
         #: First enforcement/operator failure seen on a callback or task
         #: path (where asyncio would otherwise swallow it); re-raised by
         #: :meth:`drain` so a broken policy fails the run loudly.
         self._failure: Optional[BaseException] = None
 
-        self.report = LiveReport(
-            policy=self.policy.name, time_scale=time_scale, workers=self.workers
-        )
-        # Time-weighted MPL + batch-window accounting.
-        self._mpl_integral = 0.0
-        self._mpl_last_count = 0
-        self._mpl_last_wall = 0.0
-        self._busy_seconds = 0.0
-        self._batch_wall_start = 0.0
-        self._batch_mpl_start = 0.0
-        self._batch_busy_start = 0.0
-        self._batch_disk_busy = [0.0] * len(self.disks)
-        self._batch_pool = (0, 0)
-
-    # ------------------------------------------------------------------
-    # clock
-    # ------------------------------------------------------------------
-    def _wall(self) -> float:
-        return self._loop.time() - self._t0
-
     def sim_now(self) -> float:
         """Current time in simulated seconds."""
-        return self._wall() / self.time_scale
-
-    def _to_wall(self, sim_seconds: float) -> float:
-        return sim_seconds * self.time_scale
+        return self.clock.now
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
         self._gate = PriorityWorkerGate(self.workers)
         self._drained = asyncio.Event()
         self._drained.set()
-        self._t0 = self._loop.time()
+        self.clock.start(asyncio.get_running_loop())
         if self._injector is not None:
             self._injector.arm()
 
     async def close(self) -> None:
-        """Tear down: abort in-flight queries, then prove the ledger
-        is empty -- a close that would leak grants raises
-        :class:`~repro.serve.dataplane.GrantLeakError`."""
+        """Finish the report and tear down: abort in-flight queries,
+        then prove the ledger is empty -- a close that would leak
+        grants raises :class:`~repro.serve.dataplane.GrantLeakError`."""
+        self._finish_report()
         if self._injector is not None:
             self._injector.cancel()
-        had_jobs = bool(self._jobs)
+        had_jobs = bool(self.jobs)
         self._abort_all()
         if had_jobs:
             await asyncio.sleep(0)  # let cancelled tasks unwind
-        if self._loop is not None:
+        loop = self.clock.loop
+        if loop is not None:
             # Chunks cancelled mid-service release their disk arm on a
             # deferred timer (non-preemptive service); give those a
             # bounded window so the disks reach quiescence.
-            deadline = self._loop.time() + 1.0
+            deadline = loop.time() + 1.0
             while (
                 any(disk.in_service for disk in self.disks)
-                and self._loop.time() < deadline
+                and loop.time() < deadline
             ):
                 await asyncio.sleep(0.001)
         if self.allocator.reserved_pages:
@@ -462,22 +493,21 @@ class LiveGateway:
         non-preemptive cancel path) and its grant, temp extents, and
         broker entry are released so the conservation ledger drains.
         """
-        for job in list(self._jobs.values()):
-            qid = job.arrival.qid
-            if qid not in self._jobs:
+        for job in list(self.jobs.values()):
+            qid = job.qid
+            if qid not in self.jobs:
                 continue  # departed while a sibling was torn down
             if job.expiry is not None:
                 job.expiry.cancel()
                 job.expiry = None
-            if job.task is not None:
-                job.task.cancel()
+            self._cancel(job)
             job.state = ABORTED
             try:
                 job.operator.release_resources()
             except Exception as error:
-                self._fail(error)
+                self.fail(error)
             self.pool.release(qid)
-            del self._jobs[qid]
+            del self.jobs[qid]
             self.broker.release(qid)
         if self._drained is not None:
             self._drained.set()
@@ -486,22 +516,22 @@ class LiveGateway:
         """Replay a full open-loop schedule and wait for the last
         departure (every query departs: completion or deadline abort)."""
         await self.start()
+        clock = self.clock
         try:
             for arrival in schedule.arrivals:
                 # Pace against the absolute wall target with floored
                 # sleeps: one rounded-up timer per arrival would make
                 # every query ~1 ms late, silently eating its deadline
                 # slack at tight time scales.
-                target = self._t0 + self._to_wall(arrival.arrival)
+                target = clock.at(arrival.arrival)
                 while True:
-                    delay = target - self._loop.time()
+                    delay = target - clock.loop.time()
                     if delay <= 0.0002:  # close enough: stop short of
                         break  # a sleep(0) spin on the remainder
                     await asyncio.sleep(_quantize(delay))
                 self.submit(arrival)
             await self.drain()
         finally:
-            self._finish_report()
             await self.close()
         return self.report
 
@@ -512,30 +542,37 @@ class LiveGateway:
         query-task path (e.g. :class:`GrantOversubscribedError` from a
         broken policy) -- those contexts have no awaiter of their own.
         """
-        if self._jobs and self._failure is None:
+        if self.jobs and self._failure is None:
             self._drained.clear()
             await self._drained.wait()
         if self._failure is not None:
             raise self._failure
 
-    def _fail(self, error: BaseException) -> None:
+    def fail(self, error: BaseException) -> None:
+        """Record a failure from a context with no awaiter (a timer
+        callback, a query task); :meth:`drain` re-raises it."""
         if self._failure is None:
             self._failure = error
-            if self._loop is not None and self._jobs:
+            if self.clock.loop is not None and self.jobs:
                 # A failed gateway must not sit on grants: tear down
                 # on a fresh loop pass (this path can be reached from
                 # inside a departure, where teardown would reenter).
-                self._loop.call_soon(self._abort_all)
+                self.clock.loop.call_soon(self._abort_all)
         if self._drained is not None:
             self._drained.set()  # unblock drain() so the error surfaces
 
+    def _guard(self, action, *args) -> None:
+        """Run ``action`` where asyncio would swallow its failure."""
+        try:
+            action(*args)
+        except Exception as error:
+            self.fail(error)
+
     def _finish_report(self) -> None:
         report = self.report
-        report.wall_seconds = self._wall()
+        report.wall_seconds = self.clock.wall()
         report.sim_seconds = report.wall_seconds / self.time_scale
-        self._note_mpl()
-        if report.wall_seconds > 0:
-            report.observed_mpl = self._mpl_integral / report.wall_seconds
+        report.observed_mpl = self.mpl_monitor.mean()
         report.pages_read = sum(s.pages_read for s in self.dataplane.stores)
         report.pages_written = sum(s.pages_written for s in self.dataplane.stores)
         report.bytes_moved = (
@@ -558,54 +595,22 @@ class LiveGateway:
         here -- state :data:`SHED`, never registered, never granted --
         instead of queueing doomed work that would steal memory from
         feasible queries before missing anyway."""
-        if arrival.qid in self._jobs:
-            raise ValueError(f"duplicate query id {arrival.qid}")
         if (
             self.shed_overload
-            and self.config.firm_deadlines
+            and self.firm_deadlines
             and self._projected_completion(arrival) > arrival.deadline
         ):
             return self._shed(arrival)
         grant = MemoryGrant(0)
-        operator = make_operator(arrival, self.dataplane.context, grant, self.config)
         job = LiveQuery(
             arrival=arrival,
-            operator=operator,
+            operator=make_operator(arrival, self.dataplane.context, grant, self.config),
             grant=grant,
-            submitted_wall=self._wall(),
+            submitted_wall=self.clock.wall(),
         )
-        # Clip demands to the *effective* pool (identical to the config
-        # pool until a memory-pressure fault shrinks it).
-        pool_pages = self.broker.total_pages
-        job.demand_max = min(operator.max_pages, pool_pages)
-        job.demand_min = min(operator.min_pages, job.demand_max)
-        self._jobs[arrival.qid] = job
+        super().submit(job)
         if self._drained is not None:
             self._drained.clear()
-        self.report.arrivals += 1
-        stats = self.report.per_class.setdefault(
-            arrival.class_name, LiveClassStats()
-        )
-        stats.arrivals += 1
-        if arrival.tenant:
-            tenant_stats = self.report.per_tenant.setdefault(
-                arrival.tenant, LiveClassStats()
-            )
-            tenant_stats.arrivals += 1
-        self.broker.register(
-            arrival.qid,
-            arrival.class_name,
-            arrival.deadline,
-            job.demand_min,
-            job.demand_max,
-        )
-        if self.config.firm_deadlines:
-            job.expiry = self._loop.call_at(
-                self._t0 + self._to_wall(arrival.deadline),
-                self._expire,
-                job,
-            )
-        self._reallocate()
         return job
 
     def _projected_completion(self, arrival: LiveArrival) -> float:
@@ -618,37 +623,27 @@ class LiveGateway:
         """
         backlog = sum(
             job.arrival.standalone
-            for job in self._jobs.values()
+            for job in self.jobs.values()
             if job.state == WAITING
         )
         return (
-            self.sim_now()
+            self.clock.now
             + arrival.standalone
             + backlog / max(1, self.workers)
         )
 
     def _shed(self, arrival: LiveArrival) -> LiveQuery:
         """Reject at arrival: counted, never registered, never granted."""
-        job = LiveQuery(
+        for tally in self.tallies(arrival.class_name, arrival.tenant):
+            tally.arrivals += 1
+            tally.shed += 1
+        return LiveQuery(
             arrival=arrival,
             operator=None,
             grant=MemoryGrant(0),
             state=SHED,
-            submitted_wall=self._wall(),
+            submitted_wall=self.clock.wall(),
         )
-        report = self.report
-        report.arrivals += 1
-        report.shed += 1
-        stats = report.per_class.setdefault(arrival.class_name, LiveClassStats())
-        stats.arrivals += 1
-        stats.shed += 1
-        if arrival.tenant:
-            tenant_stats = report.per_tenant.setdefault(
-                arrival.tenant, LiveClassStats()
-            )
-            tenant_stats.arrivals += 1
-            tenant_stats.shed += 1
-        return job
 
     def set_pool_pages(self, pages: int) -> None:
         """Resize the effective buffer pool (memory-pressure fault).
@@ -663,92 +658,75 @@ class LiveGateway:
         shrinking = pages < self.broker.total_pages
         self.broker.set_total_pages(pages)
         if shrinking:
-            self._reallocate()
+            self.reallocate()
             self.pool.resize(pages)
         else:
             self.pool.resize(pages)
-            self._reallocate()
+            self.reallocate()
 
     def cancel_query(self, qid: int) -> bool:
         """Abort one in-flight query whose client vanished.
 
-        The disconnect analogue of :meth:`_expire`: cancels the task
+        The disconnect analogue of :meth:`expire`: cancels the task
         (queued chunks unwind through the non-preemptive path), departs
         the query as missed, and releases its grant.  Returns ``False``
         when the query already departed.
         """
-        job = self._jobs.get(qid)
+        job = self.jobs.get(qid)
         if job is None or job.state in (DONE, ABORTED):
             return False
         job.state = ABORTED
         self.report.client_cancels += 1
-        if job.task is not None:
-            job.task.cancel()
-        try:
-            self._depart(job, missed=True)
-        except Exception as error:  # surface enforcement bugs via drain()
-            self._fail(error)
+        self._cancel(job)
+        self._guard(self.depart, job, True)
         return True
 
-    def _reallocate(self) -> None:
-        """One broker decision, enforced and enacted in ED order."""
-        if self._reallocating:
-            return
-        self._reallocating = True
+    # ------------------------------------------------------------------
+    # adapter hooks
+    # ------------------------------------------------------------------
+    def _decide(self) -> Optional[AllocationDecision]:
+        """One timed broker decision, enforced through the pool."""
+        started = _time.perf_counter()
         try:
-            started = _time.perf_counter()
-            try:
-                decision = self.broker.reallocate(now=self.sim_now())
-            except PolicyFaultError:
-                # Transient allocation-path failure: keep the previous
-                # (still-conserved) allocation and retry on the next
-                # arrival or departure.  Real policy bugs are not
-                # PolicyFaultError and still fail the run loudly.
-                self.report.policy_faults += 1
-                return
-            self.pool.apply(decision.allocation)
-            elapsed = _time.perf_counter() - started
-            report = self.report
-            report.decisions += 1
-            report.decision_seconds += elapsed
-            if elapsed > report.decision_max_seconds:
-                report.decision_max_seconds = elapsed
-            allocation = decision.allocation
-            for qid in decision.order:
-                job = self._jobs[qid]
-                pages = allocation.get(qid, 0)
-                if job.state == WAITING and pages > 0:
-                    self._admit(job, pages)
-                elif job.state == RUNNING:
-                    job.grant.set(pages)
-            self._note_mpl()
-        finally:
-            self._reallocating = False
+            decision = super()._decide()
+        except PolicyFaultError:
+            # Transient allocation-path failure: keep the previous
+            # (still-conserved) allocation and retry on the next
+            # arrival or departure.  Real policy bugs are not
+            # PolicyFaultError and still fail the run loudly.
+            self.report.policy_faults += 1
+            return None
+        elapsed = _time.perf_counter() - started
+        report = self.report
+        report.decisions += 1
+        report.decision_seconds += elapsed
+        if elapsed > report.decision_max_seconds:
+            report.decision_max_seconds = elapsed
+        return decision
 
-    def _admit(self, job: LiveQuery, pages: int) -> None:
-        job.state = RUNNING
-        job.admitted_wall = self._wall()
-        job.grant.set(pages)
-        job.grant.started = True
-        job.task = self._loop.create_task(
-            self._run_query(job), name=f"query-{job.arrival.qid}"
+    def _apply_memory(self, allocation: Dict[int, int]) -> None:
+        self.pool.apply(allocation)
+
+    def _arm_expiry(self, job: LiveQuery) -> None:
+        job.expiry = self.clock.call_at(job.deadline, self._guard, self.expire, job)
+
+    def _cancel_expiry(self, job: LiveQuery) -> None:
+        job.expiry.cancel()
+
+    def _start(self, job: LiveQuery) -> None:
+        job.admitted_wall = self.clock.wall()
+        job.task = self.clock.loop.create_task(
+            self._run_query(job), name=f"query-{job.qid}"
         )
 
-    def _note_mpl(self) -> None:
-        now = self._wall()
-        self._mpl_integral += self._mpl_last_count * (now - self._mpl_last_wall)
-        self._mpl_last_wall = now
-        self._mpl_last_count = self.broker.admitted_count
+    def _cancel(self, job: LiveQuery) -> None:
+        if job.task is not None:
+            job.task.cancel()
 
-    def observed_mpl(self) -> float:
-        """Time-weighted admitted-query count so far (the live MPL)."""
-        wall = self._wall()
-        if wall <= 0:
-            return 0.0
-        integral = self._mpl_integral + self._mpl_last_count * (
-            wall - self._mpl_last_wall
-        )
-        return integral / wall
+    def depart(self, job: LiveQuery, missed: bool) -> None:
+        super().depart(job, missed)
+        if not self.jobs and self._drained is not None:
+            self._drained.set()
 
     # ------------------------------------------------------------------
     # execution
@@ -762,30 +740,16 @@ class LiveGateway:
             # The outage-survival path gave up on this query: a firm
             # miss, not a gateway failure -- grants released, counters
             # conserved, every other query keeps running.
-            if job.state != RUNNING:
-                return  # the expiry abort got there first
-            job.state = ABORTED
-            try:
-                self._depart(job, missed=True)
-            except Exception as error:
-                self._fail(error)
+            if job.state == RUNNING:  # else the expiry abort got there first
+                job.state = ABORTED
+                self._guard(self.depart, job, True)
             return
         except Exception as error:  # operator bug: fail the run loudly
-            self._fail(error)
+            self.fail(error)
             job.state = ABORTED
-            try:
-                self._depart(job, missed=True)
-            except Exception as cleanup_error:
-                self._fail(cleanup_error)
+            self._guard(self.depart, job, True)
             return
-        if job.state != RUNNING:
-            return  # aborted while the final step was in flight
-        job.state = DONE
-        missed = self.sim_now() > job.arrival.deadline + 1e-9
-        try:
-            self._depart(job, missed=missed)
-        except Exception as error:  # enforcement violation on departure
-            self._fail(error)
+        self._guard(self.complete, job)
 
     async def _drive(self, job: LiveQuery) -> None:
         """Execute the operator's request stream against the data plane.
@@ -944,8 +908,8 @@ class LiveGateway:
         occupied for the chunk's remaining service time.
         """
         self._busy_seconds += debt_wall
-        await self._gate.acquire(job.arrival.deadline)
-        loop = self._loop
+        await self._gate.acquire(job.deadline)
+        loop = self.clock.loop
         started = loop.time()
         try:
             await asyncio.sleep(_quantize(debt_wall))
@@ -976,8 +940,8 @@ class LiveGateway:
         query can hit them.  Returns the chunk's pacing carry.
         """
         disk = self.disks[disk_index]
-        await disk.acquire(job.arrival.deadline, disk.cylinder_of(ops[0][1]))
-        loop = self._loop
+        await disk.acquire(job.deadline, disk.cylinder_of(ops[0][1]))
+        loop = self.clock.loop
         started = loop.time()
         store = disk.store
         for kind, start_page, npages, _cacheable, _home in ops:
@@ -1032,8 +996,8 @@ class LiveGateway:
         disk = self.disks[home]
         breaker = self._breakers[home]
         report = self.report
-        loop = self._loop
-        deadline_wall = self._t0 + self._to_wall(job.arrival.deadline)
+        loop = self.clock.loop
+        deadline_wall = self.clock.at(job.deadline)
         attempt = 0
         while True:
             if not disk.faulted:
@@ -1069,118 +1033,6 @@ class LiveGateway:
             report.disk_retries += 1
             attempt += 1
             await asyncio.sleep(backoff)
-
-    # ------------------------------------------------------------------
-    # departures
-    # ------------------------------------------------------------------
-    def _expire(self, job: LiveQuery) -> None:
-        """Firm deadline: abort wherever the query is [Hari90]."""
-        if job.state in (DONE, ABORTED):
-            return
-        job.state = ABORTED
-        if job.task is not None:
-            job.task.cancel()
-        try:
-            self._depart(job, missed=True)
-        except Exception as error:  # callback context: surface via drain()
-            self._fail(error)
-
-    def _depart(self, job: LiveQuery, missed: bool) -> None:
-        qid = job.arrival.qid
-        if qid not in self._jobs:
-            return  # already departed
-        job.operator.release_resources()
-        self.pool.release(qid)
-        del self._jobs[qid]
-        self.broker.release(qid)
-        if job.expiry is not None:
-            job.expiry.cancel()
-            job.expiry = None
-
-        now_sim = self.sim_now()
-        now_wall = self._wall()
-        scale = self.time_scale
-        if job.admitted_wall is None:
-            waiting = (now_wall - job.submitted_wall) / scale
-            execution = 0.0
-        else:
-            waiting = (job.admitted_wall - job.submitted_wall) / scale
-            execution = (now_wall - job.admitted_wall) / scale
-        record = DepartureRecord(
-            qid=qid,
-            class_name=job.arrival.class_name,
-            missed=missed,
-            arrival=job.arrival.arrival,
-            departure=now_sim,
-            waiting_time=waiting,
-            execution_time=execution,
-            time_constraint=job.arrival.time_constraint,
-            max_demand=job.demand_max,
-            min_demand=job.demand_min,
-            operand_io_count=job.operator.operand_io_count,
-            memory_fluctuations=job.grant.fluctuations,
-        )
-        self.broker.note_departure(missed)
-        report = self.report
-        report.served += 1
-        stats = report.per_class.setdefault(job.arrival.class_name, LiveClassStats())
-        stats.served += 1
-        tenant_stats = None
-        if job.arrival.tenant:
-            tenant_stats = report.per_tenant.setdefault(
-                job.arrival.tenant, LiveClassStats()
-            )
-            tenant_stats.served += 1
-        if missed:
-            report.missed += 1
-            stats.missed += 1
-            if tenant_stats is not None:
-                tenant_stats.missed += 1
-        for listener in self.departure_listeners:
-            listener(record)
-        window = self.broker.departure_feedback(record)
-        if window is not None:
-            self.broker.deliver_batch(self._batch_stats(window))
-        self._reallocate()
-        if not self._jobs and self._drained is not None:
-            self._drained.set()
-
-    def _batch_stats(self, window) -> BatchStats:
-        """Live telemetry for the policy's feedback channel.
-
-        The realized MPL is the wall-time-weighted admitted count over
-        the window; CPU utilisation is the worker gate's busy fraction,
-        disk utilisations are each arm's measured busy fraction over
-        the window, and the shared pool's window hit ratio rides along
-        -- the same signals the DES host measures for its policies.
-        """
-        now = self._wall()
-        self._note_mpl()
-        span = max(now - self._batch_wall_start, 1e-9)
-        realized_mpl = (self._mpl_integral - self._batch_mpl_start) / span
-        busy = self._busy_seconds - self._batch_busy_start
-        utilization = min(1.0, busy / (span * self.workers))
-        disk_utilizations = tuple(
-            min(1.0, (disk.busy_seconds - previous) / span)
-            for disk, previous in zip(self.disks, self._batch_disk_busy)
-        )
-        pool_hits, pool_misses = self._batch_pool
-        consulted = (self.pool.hits - pool_hits) + (self.pool.misses - pool_misses)
-        pool_hit_ratio = (self.pool.hits - pool_hits) / consulted if consulted else 0.0
-        self._batch_wall_start = now
-        self._batch_mpl_start = self._mpl_integral
-        self._batch_busy_start = self._busy_seconds
-        self._batch_disk_busy = [disk.busy_seconds for disk in self.disks]
-        self._batch_pool = (self.pool.hits, self.pool.misses)
-        return BatchStats(
-            time=self.sim_now(),
-            served=window.served,
-            missed=window.missed,
-            realized_mpl=realized_mpl,
-            cpu_utilization=utilization,
-            disk_utilizations=disk_utilizations,
-            pool_hit_ratio=pool_hit_ratio,
-        )
 
 
 async def run_live(

@@ -369,7 +369,7 @@ class LiveServer:
             "shed": report.shed,
             "client_cancels": report.client_cancels,
             "miss_ratio": round(report.miss_ratio, 4),
-            "observed_mpl": round(gateway.observed_mpl(), 4),
+            "observed_mpl": round(gateway.mpl_monitor.mean(), 4),
             "admitted": gateway.broker.admitted_count,
             "waiting": gateway.broker.waiting_count,
             "decisions": report.decisions,

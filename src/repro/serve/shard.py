@@ -12,11 +12,12 @@ ranges) stays global so any shard can serve any tenant.
 ``of == 1`` is the identity: the config object is returned unchanged,
 so an unrouted deployment is byte-identical to what PR 4-7 shipped.
 
-:class:`ShardProcess` launches a shard as a real subprocess through
-the existing ``python -m repro.serve serve`` entrypoint (with
-``--shard-id/--of``), parses the listening banner for the ephemeral
+:class:`ServeProcess` launches any ``python -m repro.serve`` command
+as a real subprocess, parses its listening banner for the ephemeral
 port, and drains it with SIGINT -- the same lifecycle a human operator
-or an init system would drive.
+or an init system would drive.  :func:`launch_shards` starts a farm of
+``serve --shard-id I --of N`` processes with it; the smoke scripts
+start the server and the router with it.
 """
 
 from __future__ import annotations
@@ -87,107 +88,71 @@ def shard_config(
     return config.with_overrides(resources=resources)
 
 
-def _src_root() -> str:
-    """The directory holding the ``repro`` package (for PYTHONPATH)."""
+def serve_env() -> dict:
+    """The environment for a ``repro`` subprocess: this process's, with
+    the directory holding the ``repro`` package prepended to PYTHONPATH."""
     import repro
 
-    return str(Path(repro.__file__).resolve().parents[1])
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
+    return env
 
 
 @dataclass
-class ShardProcess:
-    """One shard subprocess: launch, banner parse, drain, reap."""
+class ServeProcess:
+    """One ``python -m repro.serve`` subprocess: launch, banner parse,
+    drain, reap."""
 
-    shard_id: int
-    of: int
+    name: str
     process: subprocess.Popen
     host: str = ""
     port: int = 0
-    #: Every stdout/stderr line the shard printed (diagnostics).
+    #: Every stdout/stderr line the process printed (diagnostics).
     lines: List[str] = field(default_factory=list)
     _queue: "queue.Queue" = field(default_factory=queue.Queue)
+    _eof: bool = False
 
     # -- launch --------------------------------------------------------
     @classmethod
     def launch(
         cls,
-        shard_id: int,
-        of: int,
-        policy: str = "pmm",
-        tenants: Optional[int] = None,
-        family: str = "mix",
-        index: int = 0,
-        scenario_seed: int = 0,
-        time_scale: float = 0.05,
-        shed: bool = False,
-        extra_args: Sequence[str] = (),
+        args: Sequence[str],
+        name: str = "server",
+        banner: "re.Pattern" = BANNER_PATTERN,
         banner_timeout: float = 30.0,
-    ) -> "ShardProcess":
-        """Spawn ``python -m repro.serve serve --shard-id I --of N`` on
-        an ephemeral port and wait for its listening banner."""
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.serve",
-            "serve",
-            "--port",
-            "0",
-            "--policy",
-            policy,
-            "--shard-id",
-            str(shard_id),
-            "--of",
-            str(of),
-            "--family",
-            family,
-            "--index",
-            str(index),
-            "--scenario-seed",
-            str(scenario_seed),
-            "--time-scale",
-            str(time_scale),
-        ]
-        if tenants is not None:
-            argv += ["--tenants", str(tenants)]
-        if shed:
-            argv.append("--shed")
-        argv += list(extra_args)
-        env = dict(os.environ)
-        src = _src_root()
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = f"{src}:{existing}" if existing else src
+    ) -> "ServeProcess":
+        """Spawn ``python -m repro.serve ARGS`` and wait until a line
+        matches ``banner`` (groups: host, port)."""
         process = subprocess.Popen(
-            argv,
+            [sys.executable, "-m", "repro.serve", *args],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
-            env=env,
+            env=serve_env(),
         )
-        shard = cls(shard_id=shard_id, of=of, process=process)
-        shard._start_pump()
-        shard._await_banner(banner_timeout)
-        return shard
+        server = cls(name=name, process=process)
+        # Read stdout on a thread: a wedged process must trip the
+        # banner deadline, not block a readline() forever.
+        threading.Thread(target=server._pump, daemon=True).start()
+        server._await_banner(banner, banner_timeout)
+        return server
 
-    def _start_pump(self) -> None:
-        def pump() -> None:
-            assert self.process.stdout is not None
-            for line in self.process.stdout:
-                self._queue.put(line.rstrip("\n"))
-            self._queue.put(None)  # EOF sentinel
+    def _pump(self) -> None:
+        for line in self.process.stdout:
+            self._queue.put(line.rstrip("\n"))
+        self._queue.put(None)  # EOF sentinel
 
-        thread = threading.Thread(target=pump, daemon=True)
-        thread.start()
-
-    def _await_banner(self, timeout: float) -> None:
+    def _await_banner(self, banner: "re.Pattern", timeout: float) -> None:
         deadline = time.monotonic() + timeout
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self.process.kill()
                 raise RuntimeError(
-                    f"shard {self.shard_id}/{self.of}: no listening "
-                    f"banner within {timeout}s; output so far:\n"
-                    + "\n".join(self.lines)
+                    f"{self.name}: no listening banner within {timeout}s; "
+                    "output so far:\n" + self.output
                 )
             try:
                 line = self._queue.get(timeout=remaining)
@@ -195,11 +160,11 @@ class ShardProcess:
                 continue
             if line is None:
                 raise RuntimeError(
-                    f"shard {self.shard_id}/{self.of} exited before "
-                    "printing its banner; output:\n" + "\n".join(self.lines)
+                    f"{self.name} exited ({self.process.wait()}) before "
+                    "printing its banner; output:\n" + self.output
                 )
             self.lines.append(line)
-            match = BANNER_PATTERN.search(line)
+            match = banner.search(line)
             if match:
                 self.host = match.group(1)
                 self.port = int(match.group(2))
@@ -207,36 +172,43 @@ class ShardProcess:
 
     # -- teardown ------------------------------------------------------
     def drain(self, timeout: float = 60.0) -> int:
-        """SIGINT the shard (graceful drain) and reap it, collecting
-        the rest of its output.  Returns the exit code."""
+        """SIGINT the process (graceful drain) and reap it, collecting
+        the rest of its output.  Returns the exit code; raises
+        ``subprocess.TimeoutExpired`` if it outlives ``timeout``."""
         if self.process.poll() is None:
             self.process.send_signal(signal.SIGINT)
         code = self.process.wait(timeout=timeout)
-        self.collect_output()
+        self._collect()
         return code
 
     def kill(self) -> None:
         if self.process.poll() is None:
             self.process.kill()
-            self.process.wait(timeout=10.0)
-        self.collect_output()
+        self.process.wait(timeout=10.0)
+        self._collect()
 
-    def collect_output(self) -> List[str]:
-        """Drain the pump queue into :attr:`lines` (non-blocking)."""
-        while True:
+    def _collect(self, timeout: float = 10.0) -> None:
+        """Move the exited process's remaining output into :attr:`lines`
+        (up to the pump's EOF sentinel, bounded by ``timeout``)."""
+        deadline = time.monotonic() + timeout
+        while not self._eof:
             try:
-                line = self._queue.get_nowait()
+                line = self._queue.get(timeout=max(0.0, deadline - time.monotonic()))
             except queue.Empty:
-                break
+                return
             if line is None:
-                break
-            self.lines.append(line)
-        return self.lines
+                self._eof = True
+            else:
+                self.lines.append(line)
+
+    @property
+    def output(self) -> str:
+        return "\n".join(self.lines)
 
     @property
     def drained_cleanly(self) -> bool:
-        """True once the shard printed its graceful-drain banner."""
-        return any("drained cleanly" in line for line in self.lines)
+        """True once the process printed its graceful-drain banner."""
+        return "drained cleanly" in self.output
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -253,24 +225,30 @@ def launch_shards(
     time_scale: float = 0.05,
     shed: bool = False,
     extra_args: Sequence[str] = (),
-) -> List[ShardProcess]:
+) -> List[ServeProcess]:
     """Launch ``count`` shard subprocesses; kill them all if any fails
     to come up (no half-built farm leaks)."""
-    shards: List[ShardProcess] = []
+    shards: List[ServeProcess] = []
     try:
         for shard_id in range(count):
+            args = [
+                "serve",
+                "--port", "0",
+                "--policy", policy,
+                "--shard-id", str(shard_id),
+                "--of", str(count),
+                "--family", family,
+                "--index", str(index),
+                "--scenario-seed", str(scenario_seed),
+                "--time-scale", str(time_scale),
+            ]
+            if tenants is not None:
+                args += ["--tenants", str(tenants)]
+            if shed:
+                args.append("--shed")
             shards.append(
-                ShardProcess.launch(
-                    shard_id,
-                    count,
-                    policy=policy,
-                    tenants=tenants,
-                    family=family,
-                    index=index,
-                    scenario_seed=scenario_seed,
-                    time_scale=time_scale,
-                    shed=shed,
-                    extra_args=extra_args,
+                ServeProcess.launch(
+                    [*args, *extra_args], name=f"shard {shard_id}/{count}"
                 )
             )
     except BaseException:

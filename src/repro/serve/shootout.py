@@ -42,11 +42,11 @@ from repro.analysis.report import (
     check_pass,
     format_table,
 )
+from repro.core.host import ClassCounts
 from repro.policies import DEFAULT_POLICIES
 from repro.scenarios import Scenario, ScenarioGenerator
 from repro.serve.faults import FaultSchedule
 from repro.serve.gateway import (
-    LiveClassStats,
     LiveGateway,
     LiveReport,
     _quantize,
@@ -588,8 +588,7 @@ async def _run_sharded_policy(
             await router.close()
     finally:
         for server in servers:
-            await server.close()
-            server.gateway._finish_report()
+            await server.close()  # closing the gateway finishes its report
     reports = [server.gateway.report for server in servers]
     return _merge_reports(reports, time_scale), final_stats
 
@@ -683,10 +682,10 @@ def _merge_reports(
 
 
 def _merge_class_stats(
-    target: Dict[str, LiveClassStats], source: Dict[str, LiveClassStats]
+    target: Dict[str, ClassCounts], source: Dict[str, ClassCounts]
 ) -> None:
     for name, stats in source.items():
-        slot = target.setdefault(name, LiveClassStats())
+        slot = target.setdefault(name, ClassCounts())
         slot.arrivals += stats.arrivals
         slot.served += stats.served
         slot.missed += stats.missed

@@ -203,3 +203,54 @@ def test_check_result_flags_inconsistent_counts():
     broken = dataclasses.replace(result, missed=result.missed + 1)
     with pytest.raises(InvariantViolation):
         checker.check_result(broken)
+
+
+# ----------------------------------------------------------------------
+# the live host: population conservation on every departure
+# ----------------------------------------------------------------------
+def live_gateway():
+    from repro.scenarios import ScenarioGenerator
+    from repro.serve.gateway import LiveGateway
+
+    config = ScenarioGenerator(0).generate("mix", 0).config
+    return LiveGateway(config, "minmax", time_scale=0.005, invariants=True)
+
+
+def test_live_run_checks_population_on_every_departure():
+    import asyncio
+
+    from repro.serve.workload import build_schedule
+
+    gateway = live_gateway()
+    schedule = build_schedule(
+        gateway.config, gateway.dataplane.database, max_arrivals=20
+    )
+    report = asyncio.run(gateway.run_schedule(schedule))
+    checker = gateway.invariants
+    assert isinstance(checker, InvariantChecker)
+    assert checker.checks["population"] == report.served == 20
+
+
+def test_live_grant_ledger_mismatch_is_a_violation():
+    import asyncio
+
+    from repro.serve.workload import build_schedule
+
+    gateway = live_gateway()
+    first, second = build_schedule(
+        gateway.config, gateway.dataplane.database, max_arrivals=2
+    ).arrivals
+
+    async def scenario():
+        await gateway.start()
+        doctored = gateway.submit(first)
+        victim = gateway.submit(second)
+        doctored.grant.pages += 1  # bypasses the ledger
+        try:
+            with pytest.raises(InvariantViolation, match="ledger records"):
+                gateway.depart(victim, missed=True)
+        finally:
+            doctored.grant.pages -= 1
+            await gateway.close()
+
+    asyncio.run(scenario())
