@@ -8,6 +8,14 @@ alternates CPU bursts and synchronous I/O, so the stand-alone time is
 simply the sum of all service demands (expected values used for the
 rotational latency).
 
+Both hosts draw their queries from one generator
+(:class:`repro.rtdbs.source.QueryGenerator`), and most arrivals repeat
+an operand shape already seen, so each model instance memoizes its
+stand-alone prices per shape: every shape is priced once.  A memoized
+price is the very float the formula returned, so deadlines are
+unchanged bit for bit.  :meth:`StandAloneCostModel.from_config` is the
+one place a model is built from a simulation config.
+
 An integration test (``tests/test_integration_standalone.py``) checks
 that a solo simulated query matches these estimates within a small
 tolerance, which keeps the deadline semantics honest.
@@ -16,9 +24,10 @@ tolerance, which keeps the deadline semantics honest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
-from repro.rtdbs.config import CPUCosts, ResourceParams
+from repro.rtdbs.config import CPUCosts, ResourceParams, SimulationConfig
 
 
 @dataclass(frozen=True)
@@ -30,6 +39,24 @@ class StandAloneCostModel:
     tuples_per_page: int
     fudge_factor: float = 1.1
     join_selectivity: float = 1.0
+    #: Stand-alone prices already computed, per operand shape.
+    _join_prices: Dict[Tuple[int, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _sort_prices: Dict[int, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def from_config(cls, config: SimulationConfig) -> "StandAloneCostModel":
+        """The model a simulation config prices its deadlines with."""
+        return cls(
+            resources=config.resources,
+            costs=config.cpu_costs,
+            tuples_per_page=config.tuples_per_page,
+            fudge_factor=config.workload.fudge_factor,
+            join_selectivity=config.workload.join_selectivity,
+        )
 
     # ------------------------------------------------------------------
     # building blocks
@@ -68,6 +95,20 @@ class StandAloneCostModel:
     # ------------------------------------------------------------------
     def hash_join_standalone(self, inner_pages: int, outer_pages: int) -> float:
         """Stand-alone time of a one-pass (max memory) hash join."""
+        shape = (inner_pages, outer_pages)
+        price = self._join_prices.get(shape)
+        if price is None:
+            price = self._join_prices[shape] = self._price_join(inner_pages, outer_pages)
+        return price
+
+    def sort_standalone(self, pages: int) -> float:
+        """Stand-alone time of an in-memory (max memory) sort."""
+        price = self._sort_prices.get(pages)
+        if price is None:
+            price = self._sort_prices[pages] = self._price_sort(pages)
+        return price
+
+    def _price_join(self, inner_pages: int, outer_pages: int) -> float:
         costs = self.costs
         tuples_per_page = self.tuples_per_page
         io_count = self.scan_io_count(inner_pages) + self.scan_io_count(outer_pages)
@@ -85,8 +126,7 @@ class StandAloneCostModel:
         )
         return self.cpu_seconds(instructions) + disk
 
-    def sort_standalone(self, pages: int) -> float:
-        """Stand-alone time of an in-memory (max memory) sort."""
+    def _price_sort(self, pages: int) -> float:
         costs = self.costs
         tuples = pages * self.tuples_per_page
         depth = max(1, math.ceil(math.log2(max(2, tuples))))

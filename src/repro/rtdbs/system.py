@@ -14,14 +14,13 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.policies.base import MemoryPolicy
 from repro.policies.registry import make_policy
 from repro.queries.base import OperatorContext
-from repro.queries.cost_model import StandAloneCostModel
 from repro.rtdbs.buffer_manager import BufferManager
 from repro.rtdbs.config import SimulationConfig
 from repro.rtdbs.cpu import CPU
 from repro.rtdbs.database import Database
 from repro.rtdbs.disk import Disk
 from repro.rtdbs.query_manager import QueryManager
-from repro.rtdbs.source import Source
+from repro.rtdbs.source import QueryGenerator, Source
 from repro.sim.rng import Streams
 from repro.sim.simulator import Simulator
 
@@ -160,24 +159,13 @@ class RTDBSystem:
             allocate_temp=lambda disk, pages: self.database.temp_space(disk).allocate(pages),
             release_temp=lambda temp: self.database.temp_space(temp.disk).release(temp),
         )
-        self.cost_model = StandAloneCostModel(
-            resources=resources,
-            costs=config.cpu_costs,
-            tuples_per_page=config.tuples_per_page,
-            fudge_factor=config.workload.fudge_factor,
-            join_selectivity=config.workload.join_selectivity,
-        )
+        generator = QueryGenerator(config, self.database, self.streams)
+        self.cost_model = generator.cost_model
         self.query_manager = QueryManager(
             self.sim, config, self.policy, self.cpu, self.disks, self.buffers
         )
         self.source = Source(
-            self.sim,
-            config,
-            self.database,
-            self.query_manager,
-            self.operator_context,
-            self.cost_model,
-            self.streams,
+            self.sim, config, self.query_manager, self.operator_context, generator
         )
         self._warmup_snapshots: Optional[Dict[str, object]] = None
         #: Runtime conservation-law checker (None = checks disabled).

@@ -384,13 +384,7 @@ class LiveGateway(BrokerHost):
         self.dataplane = LiveDataPlane(config, payload_bytes=payload_bytes)
         #: The contended per-disk ED+elevator service queues.
         self.disks: List[LiveDisk] = self.dataplane.disks
-        self.cost_model = StandAloneCostModel(
-            resources=config.resources,
-            costs=config.cpu_costs,
-            tuples_per_page=config.tuples_per_page,
-            fudge_factor=config.workload.fudge_factor,
-            join_selectivity=config.workload.join_selectivity,
-        )
+        self.cost_model = StandAloneCostModel.from_config(config)
         self.report = LiveReport(
             policy=self.policy.name, time_scale=time_scale, workers=self.workers
         )

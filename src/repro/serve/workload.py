@@ -1,12 +1,15 @@
 """Open-loop live traffic: the simulator's workload, replayed for real.
 
-:func:`build_schedule` reproduces the *exact* query stream a
-fixed-seed simulation would generate -- same arrival instants, same
-operand relations, same slack draws, same deadlines -- by replaying
-the :class:`~repro.rtdbs.source.Source`'s per-class random streams
-outside the simulator (the common-random-numbers discipline makes each
-class's draws independent of event interleaving, so the schedule can
-be computed ahead of time).  The live gateway then submits this
+:func:`build_schedule` produces the *exact* query stream a fixed-seed
+simulation generates -- same arrival instants, same operand relations,
+same slack draws, same deadlines -- because it drives the same
+:class:`~repro.rtdbs.source.QueryGenerator` the simulated
+:class:`~repro.rtdbs.source.Source` does, on the same named random
+streams.  Only the clock differs: the Source waits out each arrival gap
+on the simulator, the schedule sums the gaps ahead of time (the
+common-random-numbers discipline makes each class's draws independent
+of event interleaving).  Each operand shape is priced once by the
+generator's memoizing cost model.  The live gateway then submits this
 schedule open-loop: arrivals fire at their scheduled instants whether
 or not earlier queries have finished, exactly like the simulated
 Poisson sources.
@@ -14,48 +17,23 @@ Poisson sources.
 Because the schedule *is* the simulated workload, a live run and a DES
 run of the same scenario are an apples-to-apples comparison: same
 queries, same deadlines, same memory demands -- only the execution
-substrate differs.  ``tests/test_serve.py`` pins arrival-count parity
-against the simulator per class.
+substrate differs.  ``tests/test_serve.py`` pins every scheduled
+arrival, field for field, to the job the simulator submits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from repro.queries.base import MemoryGrant, Operator, OperatorContext
-from repro.queries.cost_model import StandAloneCostModel
-from repro.queries.hash_join import HashJoinOperator
-from repro.queries.sort import ExternalSortOperator
-from repro.rtdbs.config import EXTERNAL_SORT, HASH_JOIN, QueryClass, SimulationConfig
-from repro.rtdbs.database import Database, Relation
+from repro.rtdbs.config import HASH_JOIN, QueryClass, SimulationConfig
+from repro.rtdbs.database import Database
+
+# ``LiveArrival`` and ``make_operator`` are re-exported: the live stack's
+# name for a generated arrival, and the one operator factory.
+from repro.rtdbs.source import Arrival as LiveArrival  # noqa: F401
+from repro.rtdbs.source import QueryGenerator, make_operator  # noqa: F401
 from repro.sim.rng import Streams
-
-
-@dataclass(frozen=True)
-class LiveArrival:
-    """One scheduled query submission (all times in simulated seconds)."""
-
-    qid: int
-    class_name: str
-    query_type: str
-    arrival: float
-    deadline: float
-    standalone: float
-    #: Operand relation (the inner/building relation for joins).
-    inner: Relation
-    #: Probing relation for joins, ``None`` for sorts.
-    outer: Optional[Relation]
-    temp_disk: int
-    #: Owning tenant ("" = untagged single-tenant traffic).  Tenants
-    #: map onto query classes (the multitenant scenario family names
-    #: one class per tenant); per-tenant outcomes land in
-    #: :attr:`repro.serve.gateway.LiveReport.per_tenant`.
-    tenant: str = ""
-
-    @property
-    def time_constraint(self) -> float:
-        return self.deadline - self.arrival
 
 
 @dataclass(frozen=True)
@@ -71,53 +49,6 @@ class LiveSchedule:
         for arrival in self.arrivals:
             counts[arrival.class_name] = counts.get(arrival.class_name, 0) + 1
         return counts
-
-
-def _arrival_times(
-    query_class: QueryClass, streams: Streams, horizon: float
-) -> List[float]:
-    """A class's arrival instants, replicating ``Source`` draw for draw."""
-    arrivals = streams.stream(f"arrivals.{query_class.name}")
-    times: List[float] = []
-    modulation = query_class.modulation
-    if modulation is None:
-        rate = query_class.arrival_rate
-        if rate <= 0.0:
-            return times
-        now = 0.0
-        while True:
-            now += arrivals.exponential(1.0 / rate)
-            if now > horizon:
-                return times
-            times.append(now)
-    # Modulated: thin a peak-rate candidate process, the state path on
-    # its own stream (identical structure to Source._modulated_arrivals).
-    state_stream = streams.stream(f"modulation.{query_class.name}")
-    factors = modulation.factors
-    dwells = modulation.dwell_seconds
-    peak = modulation.peak_factor
-    stochastic = modulation.stochastic
-
-    def dwell(state: int) -> float:
-        mean = dwells[state % len(dwells)]
-        return state_stream.exponential(mean) if stochastic else mean
-
-    state = 0
-    next_toggle = dwell(0)
-    peak_rate = query_class.arrival_rate * peak
-    if peak_rate <= 0.0:
-        return times
-    now = 0.0
-    while True:
-        now += arrivals.exponential(1.0 / peak_rate)
-        if now > horizon:
-            return times
-        while now >= next_toggle:
-            state += 1
-            next_toggle += dwell(state)
-        factor = factors[state % len(factors)]
-        if factor >= peak or state_stream.uniform(0.0, 1.0) * peak < factor:
-            times.append(now)
 
 
 def build_schedule(
@@ -136,64 +67,26 @@ def build_schedule(
     """
     config.validate()
     limit = horizon if horizon is not None else config.duration
-    streams = Streams(config.seed)
-    cost_model = StandAloneCostModel(
-        resources=config.resources,
-        costs=config.cpu_costs,
-        tuples_per_page=config.tuples_per_page,
-        fudge_factor=config.workload.fudge_factor,
-        join_selectivity=config.workload.join_selectivity,
-    )
+    generator = QueryGenerator(config, database, Streams(config.seed))
 
     # Per-class arrival instants first (independent streams), then one
     # global merge: the per-class operand/slack draws below happen in
     # per-class arrival order, which is all their streams ever see.
     tagged: List[Tuple[float, int, QueryClass]] = []
     for class_index, query_class in enumerate(config.workload.classes):
-        for time in _arrival_times(query_class, streams, limit):
-            tagged.append((time, class_index, query_class))
+        now = 0.0
+        rate = query_class.arrival_rate
+        for gap, arrives in generator.arrival_steps(query_class, lambda: rate):
+            now += gap
+            if now > limit:
+                break
+            if arrives:
+                tagged.append((now, class_index, query_class))
     tagged.sort(key=lambda item: (item[0], item[1]))
     if max_arrivals is not None:
         tagged = tagged[:max_arrivals]
-
-    arrivals: List[LiveArrival] = []
-    temp_cursor = 0
-    for qid, (time, _class_index, query_class) in enumerate(tagged):
-        picker = streams.stream(f"relations.{query_class.name}")
-        slack_stream = streams.stream(f"slack.{query_class.name}")
-        if query_class.query_type == HASH_JOIN:
-            first = database.pick_relation(query_class.rel_groups[0], picker)
-            second = database.pick_relation(query_class.rel_groups[1], picker)
-            inner, outer = (
-                (first, second) if first.pages <= second.pages else (second, first)
-            )
-            standalone = cost_model.hash_join_standalone(inner.pages, outer.pages)
-        elif query_class.query_type == EXTERNAL_SORT:
-            inner = database.pick_relation(query_class.rel_groups[0], picker)
-            outer = None
-            standalone = cost_model.sort_standalone(inner.pages)
-        else:  # pragma: no cover - validated at config time
-            raise ValueError(f"unknown query type {query_class.query_type!r}")
-        if config.temp_placement == "local":
-            temp_disk = inner.disk
-        else:
-            temp_disk = temp_cursor
-            temp_cursor = (temp_cursor + 1) % config.resources.num_disks
-        slack = slack_stream.uniform(*query_class.slack_range)
-        arrivals.append(
-            LiveArrival(
-                qid=qid,
-                class_name=query_class.name,
-                query_type=query_class.query_type,
-                arrival=time,
-                deadline=time + standalone * slack,
-                standalone=standalone,
-                inner=inner,
-                outer=outer,
-                temp_disk=temp_disk,
-            )
-        )
-    return LiveSchedule(config=config, arrivals=tuple(arrivals), horizon=limit)
+    arrivals = tuple(generator.draw(query_class, time) for time, _, query_class in tagged)
+    return LiveSchedule(config=config, arrivals=arrivals, horizon=limit)
 
 
 def tag_tenants(schedule: LiveSchedule) -> LiveSchedule:
@@ -204,8 +97,6 @@ def tag_tenants(schedule: LiveSchedule) -> LiveSchedule:
     identity there; tagging turns on per-tenant accounting in the
     gateway without touching the replayed traffic.
     """
-    from dataclasses import replace
-
     return replace(
         schedule,
         arrivals=tuple(
@@ -240,25 +131,3 @@ def submit_request(arrival: LiveArrival) -> dict:
     if arrival.tenant:
         request["tenant"] = arrival.tenant
     return request
-
-
-def make_operator(
-    arrival: LiveArrival,
-    context: OperatorContext,
-    grant: MemoryGrant,
-    config: SimulationConfig,
-) -> Operator:
-    """Instantiate the real operator for one scheduled arrival."""
-    if arrival.query_type == HASH_JOIN:
-        return HashJoinOperator(
-            context,
-            grant,
-            arrival.inner,
-            arrival.outer,
-            fudge_factor=config.workload.fudge_factor,
-            selectivity=config.workload.join_selectivity,
-            temp_disk=arrival.temp_disk,
-        )
-    return ExternalSortOperator(
-        context, grant, arrival.inner, temp_disk=arrival.temp_disk
-    )

@@ -93,3 +93,70 @@ def test_selectivity_scales_join_cpu():
         join_selectivity=2.0,
     )
     assert rich.hash_join_standalone(600, 3000) > lean.hash_join_standalone(600, 3000)
+
+
+# ----------------------------------------------------------------------
+# memoized pricing
+# ----------------------------------------------------------------------
+FAMILIES = ["mix", "bursty", "phases", "multitenant", "heavytail", "memorythief"]
+
+
+def drawn_shapes(family):
+    """The config of a scenario family and every operand shape its
+    schedule draws: ``(inner, outer)`` page pairs for joins, page
+    counts for sorts."""
+    from repro.rtdbs.database import Database
+    from repro.scenarios import ScenarioGenerator
+    from repro.serve.workload import build_schedule
+    from repro.sim.rng import Streams
+
+    config = ScenarioGenerator(0).generate(family, 0).config
+    database = Database(config.database, config.resources, Streams(config.seed))
+    schedule = build_schedule(config, database)
+    joins = {
+        (arrival.inner.pages, arrival.outer.pages)
+        for arrival in schedule.arrivals
+        if arrival.outer is not None
+    }
+    sorts = {arrival.inner.pages for arrival in schedule.arrivals if arrival.outer is None}
+    return config, joins, sorts
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_memoized_price_equals_fresh_price(family):
+    config, joins, sorts = drawn_shapes(family)
+    assert joins or sorts
+    memoized = StandAloneCostModel.from_config(config)
+    for inner, outer in joins:  # warm the memo over every shape first
+        memoized.hash_join_standalone(inner, outer)
+    for pages in sorts:
+        memoized.sort_standalone(pages)
+    for inner, outer in joins:
+        fresh = StandAloneCostModel.from_config(config)
+        assert memoized.hash_join_standalone(inner, outer) == fresh.hash_join_standalone(
+            inner, outer
+        )
+    for pages in sorts:
+        fresh = StandAloneCostModel.from_config(config)
+        assert memoized.sort_standalone(pages) == fresh.sort_standalone(pages)
+
+
+def test_models_with_different_cpu_costs_share_no_prices():
+    def model(costs):
+        return StandAloneCostModel(
+            resources=ResourceParams(), costs=costs, tuples_per_page=40
+        )
+
+    lean = model(CPUCosts())
+    heavy_costs = CPUCosts(hash_insert=1_000, sort_copy=640, key_compare=500)
+    heavy = model(heavy_costs)
+    # Price on one model first, then the same shapes on the other.
+    lean_join = lean.hash_join_standalone(600, 3000)
+    lean_sort = lean.sort_standalone(1200)
+    heavy_join = heavy.hash_join_standalone(600, 3000)
+    heavy_sort = heavy.sort_standalone(1200)
+    assert heavy_join > lean_join and heavy_sort > lean_sort
+    assert heavy_join == model(heavy_costs).hash_join_standalone(600, 3000)
+    assert heavy_sort == model(heavy_costs).sort_standalone(1200)
+    assert lean.hash_join_standalone(600, 3000) == lean_join
+    assert lean.sort_standalone(1200) == lean_sort

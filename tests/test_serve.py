@@ -73,10 +73,44 @@ def test_page_store_deterministic_content_and_roundtrip():
 )
 def test_schedule_matches_simulator_arrivals(family):
     config = scenario_config(family=family, index=0)
-    result = RTDBSystem(config, "max").run()
+    system = RTDBSystem(config, "max")
+    submitted = []
+    original_submit = system.query_manager.submit
+
+    def spy(job):
+        submitted.append(job)
+        original_submit(job)
+
+    system.query_manager.submit = spy
+    result = system.run()
     plane = LiveDataPlane(config)
     schedule = build_schedule(config, plane.database)
-    assert len(schedule.arrivals) == result.arrivals
+    assert len(schedule.arrivals) == result.arrivals == len(submitted)
+    # Every scheduled arrival is, field for field and bit for bit, the
+    # job the simulator's query manager received.
+    for arrival, job in zip(schedule.arrivals, submitted):
+        operator = job.operator
+        inner = getattr(operator, "inner", None) or operator.relation
+        outer = getattr(operator, "outer", None)
+        assert (
+            arrival.qid,
+            arrival.class_name,
+            arrival.arrival,
+            arrival.deadline,
+            arrival.standalone,
+            arrival.inner.rel_id,
+            arrival.outer.rel_id if arrival.outer is not None else None,
+            arrival.temp_disk,
+        ) == (
+            job.qid,
+            job.class_name,
+            job.arrival,
+            job.deadline,
+            job.standalone,
+            inner.rel_id,
+            outer.rel_id if outer is not None else None,
+            operator.temp_disk,
+        )
     # Deadlines are feasible and strictly ordered per query.
     for arrival in schedule.arrivals:
         assert arrival.deadline > arrival.arrival
