@@ -11,8 +11,8 @@ import asyncio
 import json
 from typing import Callable, List, Optional
 
-#: Reader line limit: a router's ``stats`` nests every shard's snapshot.
-LINE_LIMIT = 1 << 20
+# Reader line limit: a router's ``stats`` nests every shard's snapshot.
+from repro.serve.router import LINE_LIMIT
 
 
 def submissions(count: int, tag_prefix: Optional[str] = None) -> List[dict]:

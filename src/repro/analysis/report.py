@@ -10,9 +10,10 @@ live ``live-shootout``, the fault-plane ``chaos-shootout``) emits one
 :class:`ShootoutReport` -- columns declared once as :class:`Column`
 records, one :class:`PolicyRow` per policy, free-form pre-rendered
 ``sections``, and the cross-check verdicts recorded through
-:func:`check_fail` / :func:`check_pass`.  Rendering and the
-schema-versioned ``--json`` serialisation live here, in one place,
-instead of three hand-rolled print paths.
+:func:`check_fail` / :func:`check_pass` in one :class:`CheckLedger`.
+Rendering and the schema-versioned ``--json`` serialisation live here,
+in one place: each harness's domain report is a :class:`UnifiedReport`
+that supplies only its projection, ``unified()``.
 """
 
 from __future__ import annotations
@@ -126,20 +127,34 @@ class PolicyRow:
         return self.values.get(key)
 
 
-def check_fail(report, name: str, detail: str) -> None:
-    """Record one failed cross-check verdict on a shootout report.
+class CheckLedger:
+    """Cross-check verdicts, recorded once.
 
-    Appends the human-readable ``detail`` to ``report.failures`` (the
-    rendering path) and a ``{name, ok, detail}`` verdict to
-    ``report.checks`` (the JSON path).  Works on any report object with
-    those two lists -- the domain reports and :class:`ShootoutReport`
-    alike.
+    ``checks`` (a list field of the subclass) holds one ``{name, ok,
+    detail}`` verdict per :func:`check_fail` / :func:`check_pass`;
+    ``failures`` and ``ok`` are derived from it, so the rendered text
+    and the ``--json`` payload cannot disagree.
     """
-    report.failures.append(detail)
+
+    checks: List[Dict[str, Any]]
+
+    @property
+    def failures(self) -> List[str]:
+        """The failed verdicts' human-readable details, in order."""
+        return [check["detail"] for check in self.checks if not check["ok"]]
+
+    @property
+    def ok(self) -> bool:
+        """True when every cross-check passed."""
+        return all(check["ok"] for check in self.checks)
+
+
+def check_fail(report: CheckLedger, name: str, detail: str) -> None:
+    """Record one failed cross-check verdict on a shootout report."""
     report.checks.append({"name": name, "ok": False, "detail": detail})
 
 
-def check_pass(report, name: str, detail: str = "") -> None:
+def check_pass(report: CheckLedger, name: str, detail: str = "") -> None:
     """Record a passed verdict unless ``name`` already failed."""
     if any(check["name"] == name for check in report.checks):
         return
@@ -158,14 +173,14 @@ def _jsonify(value):
 
 
 @dataclass
-class ShootoutReport:
+class ShootoutReport(CheckLedger):
     """The one result surface every shootout harness emits.
 
     ``columns`` are declared once per harness; ``rows`` hold one
     :class:`PolicyRow` per policy; ``sections`` are pre-rendered text
     blocks (per-scenario matrices, per-tenant tables, fault schedules)
     appended below the main table; ``checks`` carries every cross-check
-    verdict and ``failures`` the failing details.
+    verdict.
     """
 
     kind: str
@@ -175,13 +190,8 @@ class ShootoutReport:
     meta: Dict[str, Any] = field(default_factory=dict)
     sections: List[str] = field(default_factory=list)
     checks: List[Dict[str, Any]] = field(default_factory=list)
-    failures: List[str] = field(default_factory=list)
     failure_heading: str = "CROSS-CHECK FAILURES"
     success_line: str = "All cross-checks passed."
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     @property
     def policies(self) -> Tuple[str, ...]:
@@ -220,7 +230,7 @@ class ShootoutReport:
                 for row in self.rows
             ],
             "checks": _jsonify(self.checks),
-            "failures": list(self.failures),
+            "failures": self.failures,
             "ok": self.ok,
         }
 
@@ -232,3 +242,19 @@ class ShootoutReport:
             encoding="utf-8",
         )
         return path
+
+
+class UnifiedReport(CheckLedger):
+    """A harness's domain report: a subclass supplies ``unified()``, its
+    projection into one :class:`ShootoutReport`, and renders and
+    serialises through it."""
+
+    def render(self) -> str:
+        """The harness's complete plain-text output."""
+        return self.unified().render()
+
+    def to_json(self) -> Dict[str, Any]:
+        return self.unified().to_json()
+
+    def save_json(self, path: Union[str, os.PathLike]) -> Path:
+        return self.unified().save_json(path)

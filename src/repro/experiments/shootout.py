@@ -48,6 +48,7 @@ from repro.analysis.report import (
     Column,
     PolicyRow,
     ShootoutReport,
+    UnifiedReport,
     check_fail,
     check_pass,
     format_table,
@@ -64,23 +65,18 @@ ORDERING_TOLERANCE = 0.05
 
 
 @dataclass
-class ScenarioShootoutReport:
+class ScenarioShootoutReport(UnifiedReport):
     """Everything one shootout produced: results, failures, rendering."""
 
     scenarios: List[Scenario]
     policies: Tuple[str, ...]
     #: ``results[scenario_index][policy]``.
     results: List[Dict[str, SimulationResult]]
-    failures: List[str] = field(default_factory=list)
-    #: Cross-check verdicts (``{name, ok, detail}``) for ``--json``.
+    #: Cross-check verdicts (``{name, ok, detail}``); ``failures`` and
+    #: ``ok`` derive from them.
     checks: List[Dict[str, object]] = field(default_factory=list)
     #: ``oracle[scenario_index][policy]`` when run with ``regret=True``.
     oracle: Optional[List[Dict[str, object]]] = None
-
-    @property
-    def ok(self) -> bool:
-        """True when every cross-check passed."""
-        return not self.failures
 
     def mean_miss_ratio(self, policy: str) -> float:
         """Matrix-wide miss ratio of one policy (total missed / served)."""
@@ -175,18 +171,7 @@ class ScenarioShootoutReport:
             },
             sections=[self.matrix_section()],
             checks=self.checks,
-            failures=self.failures,
         )
-
-    def render(self) -> str:
-        """Plain-text summary, matrix, and cross-check verdicts."""
-        return self.unified().render()
-
-    def to_json(self) -> Dict[str, object]:
-        return self.unified().to_json()
-
-    def save_json(self, path) -> None:
-        self.unified().save_json(path)
 
 
 def scenario_shootout(
@@ -241,7 +226,7 @@ def scenario_shootout(
 
 
 def _cross_check(report: ScenarioShootoutReport) -> None:
-    """Populate ``report.failures`` with every violated structural law."""
+    """Record every violated structural law in ``report.checks``."""
     checker = InvariantChecker()  # unattached: only the result law is used
     for scenario, by_policy in zip(report.scenarios, report.results):
         arrival_counts = {

@@ -191,20 +191,41 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
+async def _wait_for_stop_signal() -> None:
+    """Return once SIGINT or SIGTERM arrives."""
     import signal
 
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    try:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stop.set)
+    except NotImplementedError:
+        # Windows event loops: fall back to plain signal handlers
+        # (they run on the main thread, which runs the loop).
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(
+                signum, lambda *_args: loop.call_soon_threadsafe(stop.set)
+            )
+    await stop.wait()
+
+
+def _scenario(args):
+    """The scenario ``--tenants`` (or else ``--family``/``--index``) names."""
     from repro.scenarios import ScenarioGenerator
-    from repro.serve.gateway import LiveGateway
-    from repro.serve.server import LiveServer
     from repro.serve.shootout import find_multitenant_scenario
 
     generator = ScenarioGenerator(args.scenario_seed)
     if args.tenants is not None:
-        scenario = find_multitenant_scenario(generator, args.tenants, args.index)
-    else:
-        scenario = generator.generate(args.family, args.index)
+        return find_multitenant_scenario(generator, args.tenants, args.index)
+    return generator.generate(args.family, args.index)
 
+
+def _cmd_serve(args) -> int:
+    from repro.serve.gateway import LiveGateway
+    from repro.serve.server import LiveServer
+
+    scenario = _scenario(args)
     config = scenario.config
     shard = None
     if args.of > 1:
@@ -236,20 +257,7 @@ def _cmd_serve(args) -> int:
               f"scenario={scenario.name} {shard_note}listening on "
               f"{host}:{port} (JSON lines; see repro/serve/server.py)",
               flush=True)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        try:
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                loop.add_signal_handler(signum, stop.set)
-        except NotImplementedError:
-            # Windows event loops: fall back to plain signal handlers
-            # (they run on the main thread, which runs the loop).
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                signal.signal(
-                    signum,
-                    lambda *_args: loop.call_soon_threadsafe(stop.set),
-                )
-        await stop.wait()
+        await _wait_for_stop_signal()
         print("repro.serve: draining "
               f"({gateway.broker.present_count} queries in flight)", flush=True)
         await server.close()
@@ -267,12 +275,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_route(args) -> int:
-    import signal
-
-    from repro.scenarios import ScenarioGenerator
     from repro.serve.router import ShardRouter
     from repro.serve.shard import launch_shards
-    from repro.serve.shootout import find_multitenant_scenario
 
     if args.shards < 1:
         print(f"repro.serve: --shards must be positive, got {args.shards}")
@@ -280,11 +284,7 @@ def _cmd_route(args) -> int:
     # The ring seeds from the *scenario's* config seed (not the
     # generator seed), so the shootout, a restarted router, and this
     # CLI all place a tenant identically.
-    generator = ScenarioGenerator(args.scenario_seed)
-    if args.tenants is not None:
-        scenario = find_multitenant_scenario(generator, args.tenants, args.index)
-    else:
-        scenario = generator.generate(args.family, args.index)
+    scenario = _scenario(args)
 
     shards = launch_shards(
         args.shards,
@@ -310,18 +310,7 @@ def _cmd_route(args) -> int:
               f"listening on {host}:{port} "
               "(JSON lines; see repro/serve/router.py)",
               flush=True)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        try:
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                loop.add_signal_handler(signum, stop.set)
-        except NotImplementedError:
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                signal.signal(
-                    signum,
-                    lambda *_args: loop.call_soon_threadsafe(stop.set),
-                )
-        await stop.wait()
+        await _wait_for_stop_signal()
         print("repro.serve: router draining", flush=True)
         final = await router.drain_stats()
         await router.close()

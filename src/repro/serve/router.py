@@ -1,9 +1,9 @@
 """A consistent-hash front-end router over N live-server shards.
 
-The router speaks the same JSON-lines protocol as
-:class:`~repro.serve.server.LiveServer` -- clients do not know whether
-they connected to a single server or a routed farm.  Every submission
-is forwarded to the shard owning its tenant:
+The router is the same :class:`~repro.serve.frontend.JsonLinesFrontEnd`
+as :class:`~repro.serve.server.LiveServer` -- clients do not know
+whether they connected to a single server or a routed farm.  Every
+submission is forwarded to the shard owning its tenant:
 
 * **Placement** starts on a :class:`HashRing` (sha256 points, virtual
   nodes, deterministic in the scenario seed), so a tenant lands on the
@@ -38,6 +38,8 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.serve.frontend import JsonLinesFrontEnd
+
 #: readline limit on shard links and router connections -- aggregated
 #: stats responses outgrow the 64 KiB asyncio default on big farms.
 LINE_LIMIT = 1 << 20
@@ -57,6 +59,16 @@ MIN_SKEW_ARRIVALS = 4
 def _point(seed: int, label: str) -> int:
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+async def _cancel(task: Optional[asyncio.Task]) -> None:
+    """Cancel ``task`` (if any) and wait until it has unwound."""
+    if task is not None:
+        task.cancel()
+        try:
+            await task
+        except asyncio.CancelledError:
+            pass
 
 
 class HashRing:
@@ -93,14 +105,15 @@ class HashRing:
 
 
 class ShardLink:
-    """One JSON-lines connection to a shard, multiplexing concurrent
-    requests via the server's ``tag`` echo.
+    """One JSON-lines client connection to a front end (a shard, or a
+    router), multiplexing concurrent requests via the ``tag`` echo.
 
     Many submits are in flight at once and their responses arrive at
     query departure time -- out of order -- so each request gets a
     link-private tag and a future; the reader task resolves futures as
-    tagged responses land.  A dead link fails every pending future
-    with :class:`ConnectionError` instead of hanging the callers.
+    tagged responses land.  A dead link fails every pending future, and
+    every later request, with :class:`ConnectionError` instead of
+    hanging the callers.
     """
 
     def __init__(self, host: str, port: int):
@@ -108,21 +121,22 @@ class ShardLink:
         self.port = port
         self._tags = count()
         self._pending: Dict[str, asyncio.Future] = {}
-        self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
         self._write_lock = asyncio.Lock()
 
     async def connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
+        reader, self._writer = await asyncio.open_connection(
             self.host, self.port, limit=LINE_LIMIT
         )
-        self._reader_task = asyncio.ensure_future(self._read_loop())
+        self._reader_task = asyncio.ensure_future(self._read_loop(reader))
 
     async def request(self, payload: dict) -> dict:
         """Send one request and await its (tag-correlated) response."""
-        if self._writer is None:
-            raise ConnectionError(f"shard {self.host}:{self.port} not connected")
+        if self._reader_task is None or self._reader_task.done():
+            # Not connected, closed, or the read loop ended: nothing
+            # would ever resolve a new future.
+            raise ConnectionError(f"shard link {self.host}:{self.port} closed")
         tag = f"link{next(self._tags)}"
         message = dict(payload)
         message["tag"] = tag
@@ -140,11 +154,10 @@ class ShardLink:
             ) from error
         return await future
 
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
+    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
         try:
             while True:
-                line = await self._reader.readline()
+                line = await reader.readline()
                 if not line:
                     break
                 try:
@@ -167,18 +180,9 @@ class ShardLink:
                     future.set_exception(error)
             self._pending.clear()
 
-    @property
-    def inflight(self) -> int:
-        return len(self._pending)
-
     async def close(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-            self._reader_task = None
+        await _cancel(self._reader_task)
+        self._reader_task = None
         if self._writer is not None:
             self._writer.close()
             try:
@@ -207,9 +211,14 @@ class Migration:
         }
 
 
-class ShardRouter:
+class ShardRouter(JsonLinesFrontEnd):
     """The asyncio front end: accept client submissions, place them on
     shards, relay the departure responses, rebalance on skew."""
+
+    #: Aggregated stats requests nest every shard's snapshot.
+    READ_LIMIT = LINE_LIMIT
+    #: Relayed submits wait out their shard's deadlines.
+    IDLE_TIMEOUT = 60.0
 
     def __init__(
         self,
@@ -222,6 +231,7 @@ class ShardRouter:
     ):
         if not endpoints:
             raise ValueError("router needs at least one shard endpoint")
+        super().__init__()
         self.links = [ShardLink(host, port) for host, port in endpoints]
         self.ring = HashRing(len(self.links), seed=ring_seed)
         #: tenant -> shard index.  Seeded from ``placement`` overrides
@@ -250,16 +260,7 @@ class ShardRouter:
         # -- rebalancer window state ----------------------------------
         self._window_tenant: Dict[str, int] = {}
         self._last_shard_arrivals = [0] * len(self.links)
-        # -- lifecycle ------------------------------------------------
-        self._server: Optional[asyncio.AbstractServer] = None
         self._rebalance_task: Optional[asyncio.Task] = None
-        self._writers: set = set()
-        self._draining = False
-        self._closing = False
-        self._closed = asyncio.Event()
-        self._pending = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
         self._t0 = 0.0
 
     # ------------------------------------------------------------------
@@ -269,22 +270,10 @@ class ShardRouter:
         for link in self.links:
             await link.connect()
         self._t0 = asyncio.get_running_loop().time()
-        self._server = await asyncio.start_server(
-            self._handle, host, port, limit=LINE_LIMIT
-        )
+        address = await self._listen(host, port)
         if self.rebalance_interval > 0:
             self._rebalance_task = asyncio.ensure_future(self._rebalance_loop())
-        address = self._server.sockets[0].getsockname()
-        return address[0], address[1]
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
+        return address
 
     def place(self, tenant: str) -> int:
         """Current shard for ``tenant``: explicit placement (including
@@ -300,167 +289,56 @@ class ShardRouter:
         """Refuse new submissions, wait for every in-flight one to be
         answered (firm deadlines bound the wait), and return the final
         aggregated stats while the shard links are still open."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout=timeout)
-        except asyncio.TimeoutError:
-            pass
+        self._stop_accepting()
+        await self._wait_idle(timeout)
         return await self.stats()
 
-    async def close(self) -> None:
-        """Stop accepting, let in-flight requests answer, close the
-        shard links.  Idempotent, like ``LiveServer.close``."""
-        if self._closing:
-            await self._closed.wait()
-            return
-        self._closing = True
-        self._draining = True
-        try:
-            if self._server is not None:
-                self._server.close()
-            if self._rebalance_task is not None:
-                self._rebalance_task.cancel()
-                try:
-                    await self._rebalance_task
-                except asyncio.CancelledError:
-                    pass
-                self._rebalance_task = None
-            try:
-                await asyncio.wait_for(self._idle.wait(), timeout=60.0)
-            except asyncio.TimeoutError:
-                pass
-            for writer in list(self._writers):
-                writer.close()
-            if self._server is not None:
-                await self._server.wait_closed()
-                self._server = None
-            for link in self.links:
-                await link.close()
-        finally:
-            self._closed.set()
+    async def _on_drain(self) -> None:
+        await _cancel(self._rebalance_task)
+        self._rebalance_task = None
 
-    # ------------------------------------------------------------------
-    async def _handle(self, reader, writer) -> None:
-        """One client connection, same discipline as ``LiveServer``:
-        every line served in its own task, hostile input answered with
-        structured errors, a disconnect cancels the in-flight relays."""
-        self._writers.add(writer)
-        state = {"tenant": ""}
-        lock = asyncio.Lock()
-        inflight: set = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    await self._respond(
-                        writer, lock, {"error": "request line too long"}
-                    )
-                    break
-                if not line:
-                    break
-                task = asyncio.ensure_future(
-                    self._serve_request(line, state, writer, lock)
-                )
-                inflight.add(task)
-                task.add_done_callback(inflight.discard)
-        except (asyncio.CancelledError, ConnectionResetError):
-            pass
-        finally:
-            for task in list(inflight):
-                task.cancel()
-            self._writers.discard(writer)
-            writer.close()
+    async def _on_closed(self) -> None:
+        for link in self.links:
+            await link.close()
 
-    async def _serve_request(self, line, state, writer, lock) -> None:
-        self._pending += 1
-        self._idle.clear()
-        tag = None
-        try:
-            try:
-                request = json.loads(line)
-            except json.JSONDecodeError as error:
-                response = {"error": f"malformed JSON: {error}"}
-            else:
-                if not isinstance(request, dict):
-                    response = {"error": "request must be a JSON object"}
-                else:
-                    tag = request.get("tag")
-                    try:
-                        response = await self._dispatch(request, state)
-                    except (ValueError, KeyError, TypeError) as error:
-                        response = {"error": str(error)}
-                    except ConnectionError as error:
-                        response = {"error": f"shard unreachable: {error}"}
-                    except asyncio.CancelledError:
-                        raise
-                    except Exception as error:
-                        response = {
-                            "error": "internal error: "
-                            f"{type(error).__name__}: {error}"
-                        }
-            if tag is not None:
-                response["tag"] = tag
-            await self._respond(writer, lock, response)
-        except asyncio.CancelledError:
-            return
-        finally:
-            self._pending -= 1
-            if self._pending == 0:
-                self._idle.set()
+    def _hello(self, tenant: str) -> dict:
+        return {"shard": self.place(tenant) if tenant else None}
 
-    async def _respond(self, writer, lock, response: dict) -> None:
-        payload = json.dumps(response).encode() + b"\n"
-        try:
-            async with lock:
-                writer.write(payload)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-    async def _dispatch(self, request: dict, state: dict) -> dict:
+    async def _dispatch(self, request: dict, tenant: str = "") -> dict:
         op = request.get("op", "submit")
-        if op == "hello":
-            tenant = str(request.get("tenant", ""))
-            state["tenant"] = tenant
-            return {
-                "tenant": tenant,
-                "shard": self.place(tenant) if tenant else None,
-            }
-        if op == "stats":
-            return await self.stats()
-        if op == "submit":
-            if self._draining:
-                raise ValueError("router is draining; submission refused")
-            tenant = str(request.get("tenant", state["tenant"]) or "")
-            shard = self.place(tenant)
-            self.arrivals += 1
-            self.routed[shard] += 1
-            self.per_tenant[tenant] = self.per_tenant.get(tenant, 0) + 1
-            self._window_tenant[tenant] = (
-                self._window_tenant.get(tenant, 0) + 1
-            )
-            forward = {
-                key: value for key, value in request.items() if key != "tag"
-            }
-            forward["tenant"] = tenant
-            response = await self.links[shard].request(forward)
-            response["shard"] = shard
-            self.responses += 1
-            return response
+        try:
+            if op == "stats":
+                return await self.stats()
+            if op == "submit":
+                return await self._forward(request, tenant)
+        except ConnectionError as error:
+            return {"error": f"shard unreachable: {error}"}
         raise ValueError(f"unknown op {op!r}")
+
+    async def _forward(self, request: dict, tenant: str) -> dict:
+        """Relay one submission to its tenant's shard."""
+        if self._draining:
+            raise ValueError("router is draining; submission refused")
+        tenant = str(request.get("tenant", tenant) or "")
+        shard = self.place(tenant)
+        self.arrivals += 1
+        self.routed[shard] += 1
+        self.per_tenant[tenant] = self.per_tenant.get(tenant, 0) + 1
+        self._window_tenant[tenant] = self._window_tenant.get(tenant, 0) + 1
+        forward = {
+            key: value for key, value in request.items() if key != "tag"
+        }
+        forward["tenant"] = tenant
+        response = await self.links[shard].request(forward)
+        response["shard"] = shard
+        self.responses += 1
+        return response
 
     # ------------------------------------------------------------------
     async def stats(self) -> dict:
         """Router counters, every shard's own stats, the aggregate, and
         the conservation cross-check."""
-        shard_stats = list(
-            await asyncio.gather(
-                *(link.request({"op": "stats"}) for link in self.links)
-            )
-        )
+        shard_stats = await self._shard_stats()
         aggregate = {"arrivals": 0, "served": 0, "missed": 0, "shed": 0}
         for one in shard_stats:
             for key in aggregate:
@@ -481,6 +359,13 @@ class ShardRouter:
             "conservation": self.conservation(shard_stats),
             "draining": self._draining,
         }
+
+    async def _shard_stats(self) -> List[dict]:
+        return list(
+            await asyncio.gather(
+                *(link.request({"op": "stats"}) for link in self.links)
+            )
+        )
 
     def conservation(self, shard_stats: Sequence[dict]) -> dict:
         """The cross-check: router arrivals == Σ shard arrivals, and --
@@ -513,13 +398,11 @@ class ShardRouter:
         while True:
             await asyncio.sleep(self.rebalance_interval)
             try:
-                shard_stats = await asyncio.gather(
-                    *(link.request({"op": "stats"}) for link in self.links)
-                )
+                shard_stats = await self._shard_stats()
             except ConnectionError:
                 continue
             self.rebalance_passes += 1
-            self._maybe_migrate(list(shard_stats))
+            self._maybe_migrate(shard_stats)
 
     def _maybe_migrate(self, shard_stats: List[dict]) -> None:
         """One rebalance pass over one batch-feedback window.

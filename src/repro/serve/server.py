@@ -1,27 +1,20 @@
-"""A multi-tenant JSON-lines TCP front end over the live gateway.
+"""A multi-tenant JSON-lines TCP server over the live gateway.
 
 ``python -m repro.serve serve`` runs this: any number of clients
 connect concurrently, submit queries with deadlines, and receive the
-outcome when the query departs (completed or deadline-aborted).  One
-request per line, one JSON response per request.  Every connection
-shares the *same* gateway -- one memory broker, one tracked allocator,
-one cross-query buffer pool, one contended disk farm, one worker gate
--- so tenants genuinely compete for memory and disks the way the
-paper's policies arbitrate.
-
-Protocol
---------
-Declare the connection's tenant (optional; per-request ``"tenant"``
-keys override it)::
-
-    {"op": "hello", "tenant": "acme"}
-    -> {"tenant": "acme", "class": "tenant0"}
+outcome when the query departs (completed or deadline-aborted).  Every
+connection shares the *same* gateway -- one memory broker, one tracked
+allocator, one cross-query buffer pool, one contended disk farm, one
+worker gate -- so tenants genuinely compete for memory and disks the
+way the paper's policies arbitrate.  The connection handling (``hello``,
+tags, hostile-client hardening, drain) is
+:class:`~repro.serve.frontend.JsonLinesFrontEnd`'s.
 
 Tenants map onto the scenario's query classes (the multitenant family
 names one class per tenant): a tenant named after a class keeps it,
-anyone else is assigned round-robin.  The mapped class is the identity
-the memory policy sees (per-class fairness goals etc.); per-tenant
-outcomes are tracked separately.
+anyone else is assigned round-robin; ``hello`` replies with the class.
+The mapped class is the identity the memory policy sees (per-class
+fairness goals etc.); per-tenant outcomes are tracked separately.
 
 Submit a query (the response arrives when the query departs)::
 
@@ -40,32 +33,26 @@ the per-tenant breakdown included)::
         "observed_mpl": 2.4, "decisions": 25, "pool_hit_ratio": 0.13,
         "disk_queue_s": 0.8, "per_tenant": {"acme": {...}}, ...}
 
-Any request may carry a ``"tag"`` (any JSON value); the server echoes
-it in the response.  Submit responses arrive at query *departure*
-time -- out of order on a pipelining connection -- so the tag is how a
-multiplexing client (e.g. :mod:`repro.serve.router`) correlates them.
-
 ``pages`` is the operand size in model pages (a sort's relation, a
 join's inner relation); the server synthesises a relation of that size
 on a round-robin disk, prices the deadline with the same stand-alone
 cost model the simulator uses (``deadline = now + standalone * slack``),
 and admission is entirely up to the configured memory policy.
 
-Shutdown is a graceful drain: the listener stops accepting, new
-submissions are refused, in-flight queries run to departure (firm
-deadlines bound the wait) and their clients receive their responses,
-then the gateway closes.
+Shutdown drains: new submissions are refused, in-flight queries run to
+departure (firm deadlines bound the wait) and their clients receive
+their responses, then the gateway closes.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 from itertools import count
 from typing import Dict, Optional, Tuple
 
 from repro.rtdbs.config import EXTERNAL_SORT, HASH_JOIN
 from repro.rtdbs.database import Relation
+from repro.serve.frontend import JsonLinesFrontEnd
 from repro.serve.gateway import SHED, LiveGateway
 from repro.serve.workload import LiveArrival
 
@@ -73,7 +60,7 @@ from repro.serve.workload import LiveArrival
 _SYNTHETIC_BASE = 1_000_000
 
 
-class LiveServer:
+class LiveServer(JsonLinesFrontEnd):
     """Accept query submissions over TCP and push them to the gateway."""
 
     def __init__(
@@ -81,6 +68,7 @@ class LiveServer:
         gateway: LiveGateway,
         shard: Optional[Tuple[int, int]] = None,
     ):
+        super().__init__()
         self.gateway = gateway
         #: ``(shard_id, shard_count)`` when this server is one shard of
         #: a routed deployment (``serve --shard-id I --of N``); ``None``
@@ -91,7 +79,6 @@ class LiveServer:
         self._rel_ids = count(_SYNTHETIC_BASE)
         self._disk_cursor = 0
         self._waiters: dict = {}
-        self._server: Optional[asyncio.AbstractServer] = None
         #: tenant name -> query-class name (policy-facing identity).
         self._tenant_classes: Dict[str, str] = {}
         #: The scenario's classes, computed once -- tenant_class is on
@@ -100,59 +87,20 @@ class LiveServer:
         self._classes = tuple(gateway.config.workload.classes)
         self._class_names = frozenset(qc.name for qc in self._classes)
         self._class_cursor = 0
-        self._writers: set = set()
-        self._draining = False
-        self._closing = False
-        self._closed = asyncio.Event()
-        #: Requests mid-flight in a handler (read, not yet responded).
-        self._pending = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
         gateway.departure_listeners.append(self._on_departure)
 
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple:
         """Start the gateway and the listener; returns (host, port)."""
         await self.gateway.start()
-        self._server = await asyncio.start_server(self._handle, host, port)
-        address = self._server.sockets[0].getsockname()
-        return address[0], address[1]
+        return await self._listen(host, port)
 
-    async def close(self) -> None:
-        """Graceful drain: refuse new work, let in-flight queries depart
-        (answering their clients), then tear the gateway down.
+    async def _on_drain(self) -> None:
+        # In-flight queries run to departure, resolving every waiter.
+        await self.gateway.drain()
 
-        Idempotent: concurrent or repeated calls wait for the first
-        drain to finish instead of re-draining a closed gateway.
-        """
-        if self._closing:
-            await self._closed.wait()
-            return
-        self._closing = True
-        self._draining = True
-        try:
-            if self._server is not None:
-                self._server.close()
-            await self.gateway.drain()
-            # The departures resolved every waiter; wait until the
-            # handler tasks have written those final responses out
-            # (bounded, in case a client's transport wedges mid-write).
-            try:
-                await asyncio.wait_for(self._idle.wait(), timeout=10.0)
-            except asyncio.TimeoutError:
-                pass
-            for writer in list(self._writers):
-                writer.close()
-            if self._server is not None:
-                await self._server.wait_closed()
-                self._server = None
-            await self.gateway.close()
-        finally:
-            self._closed.set()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
+    async def _on_closed(self) -> None:
+        await self.gateway.close()
 
     # ------------------------------------------------------------------
     def tenant_class(self, tenant: str) -> str:
@@ -173,11 +121,6 @@ class LiveServer:
                 self._class_cursor += 1
             self._tenant_classes[tenant] = mapped
         return mapped
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
 
     # ------------------------------------------------------------------
     def _on_departure(self, record) -> None:
@@ -246,116 +189,8 @@ class LiveServer:
             tenant=tenant,
         )
 
-    # ------------------------------------------------------------------
-    async def _handle(self, reader, writer) -> None:
-        """One connection: read request lines, serve each in its own task.
-
-        Hardened against hostile or broken clients: malformed and
-        non-object JSON get structured ``error`` responses, an
-        oversized line (framing is unrecoverable) gets one error and a
-        close, and a mid-stream disconnect cancels every request still
-        in flight -- which aborts the queries they own and releases
-        their grants.  Nothing a single client does can kill the
-        accept loop or wedge another tenant's connection.
-        """
-        self._writers.add(writer)
-        #: Shared connection state: "hello" sets the default tenant for
-        #: every later request (tasks start in arrival order, and hello
-        #: has no await before the mutation, so the order holds).
-        state = {"tenant": ""}
-        lock = asyncio.Lock()  # serialises response writes
-        inflight: set = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Oversized line: the stream's framing is lost.
-                    await self._respond(
-                        writer, lock, {"error": "request line too long"}
-                    )
-                    break
-                if not line:
-                    break
-                task = asyncio.ensure_future(
-                    self._serve_request(line, state, writer, lock)
-                )
-                inflight.add(task)
-                task.add_done_callback(inflight.discard)
-        except (asyncio.CancelledError, ConnectionResetError):
-            pass  # server shutdown or client vanished: just end quietly
-        finally:
-            for task in list(inflight):
-                task.cancel()  # aborts the queries these requests own
-            self._writers.discard(writer)
-            writer.close()
-
-    async def _serve_request(self, line, state, writer, lock) -> None:
-        """Parse and serve one request line; always answer something.
-
-        A request carrying a ``"tag"`` gets it echoed in the response:
-        submit responses arrive at query *departure* time, so a client
-        multiplexing many in-flight submits on one connection (the
-        shard router does exactly this) needs the tag to correlate the
-        out-of-order responses.
-        """
-        self._pending += 1
-        self._idle.clear()
-        tag = None
-        try:
-            try:
-                request = json.loads(line)
-            except json.JSONDecodeError as error:
-                response = {"error": f"malformed JSON: {error}"}
-            else:
-                if not isinstance(request, dict):
-                    response = {"error": "request must be a JSON object"}
-                else:
-                    tag = request.get("tag")
-                    try:
-                        if request.get("op") == "hello":
-                            tenant = str(request.get("tenant", ""))
-                            state["tenant"] = tenant
-                            response = {
-                                "tenant": tenant,
-                                "class": self.tenant_class(tenant)
-                                if tenant
-                                else None,
-                            }
-                        else:
-                            response = await self._dispatch(
-                                request, state["tenant"]
-                            )
-                    except (ValueError, KeyError, TypeError) as error:
-                        response = {"error": str(error)}
-                    except asyncio.CancelledError:
-                        raise
-                    except Exception as error:
-                        # A server-side bug must not kill the
-                        # connection loop; the gateway's failure
-                        # channel still surfaces it at drain.
-                        response = {
-                            "error": "internal error: "
-                            f"{type(error).__name__}: {error}"
-                        }
-            if tag is not None:
-                response["tag"] = tag
-            await self._respond(writer, lock, response)
-        except asyncio.CancelledError:
-            return  # connection gone: _dispatch cancelled its query
-        finally:
-            self._pending -= 1
-            if self._pending == 0:
-                self._idle.set()
-
-    async def _respond(self, writer, lock, response: dict) -> None:
-        payload = json.dumps(response).encode() + b"\n"
-        try:
-            async with lock:
-                writer.write(payload)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client vanished before reading its response
+    def _hello(self, tenant: str) -> dict:
+        return {"class": self.tenant_class(tenant) if tenant else None}
 
     def _stats(self) -> dict:
         gateway = self.gateway

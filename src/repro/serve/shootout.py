@@ -30,7 +30,6 @@ the cached parallel experiment engine).  Cross-checks:
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,6 +37,7 @@ from repro.analysis.report import (
     Column,
     PolicyRow,
     ShootoutReport,
+    UnifiedReport,
     check_fail,
     check_pass,
     format_table,
@@ -92,7 +92,7 @@ def find_multitenant_scenario(
 
 
 @dataclass
-class LiveShootoutReport:
+class LiveShootoutReport(UnifiedReport):
     """Live results, simulator predictions, and cross-check failures."""
 
     scenario: Scenario
@@ -100,8 +100,8 @@ class LiveShootoutReport:
     live: Dict[str, LiveReport]
     predicted: Dict[str, float]
     time_scale: float
-    failures: List[str] = field(default_factory=list)
-    #: Cross-check verdicts (``{name, ok, detail}``) for ``--json``.
+    #: Cross-check verdicts (``{name, ok, detail}``); ``failures`` and
+    #: ``ok`` derive from them.
     checks: List[Dict[str, object]] = field(default_factory=list)
     #: DES-predicted shared-pool hit ratio per policy (the live pool's
     #: contention cross-check column).
@@ -118,10 +118,6 @@ class LiveShootoutReport:
     #: Per-policy final router stats (placement, migrations, per-shard
     #: stats, conservation) in sharded mode.
     router_stats: Dict[str, dict] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def miss_delta(self, policy: str) -> float:
         """Live miss ratio minus the DES prediction (NaN if no
@@ -200,18 +196,8 @@ class LiveShootoutReport:
             },
             sections=sections,
             checks=self.checks,
-            failures=self.failures,
             success_line="All live cross-checks passed.",
         )
-
-    def render(self) -> str:
-        return self.unified().render()
-
-    def to_json(self) -> Dict[str, object]:
-        return self.unified().to_json()
-
-    def save_json(self, path) -> None:
-        self.unified().save_json(path)
 
     def _render_tenants(self) -> str:
         """Per-tenant live served/missed counts, one row per policy."""
@@ -593,33 +579,21 @@ async def _run_sharded_policy(
     return _merge_reports(reports, time_scale), final_stats
 
 
-async def _route_schedule(host, port, schedule, time_scale: float):
+async def _route_schedule(host, port, schedule, time_scale: float) -> None:
     """Replay the open-loop schedule through the router over real TCP.
 
-    One pipelining connection carries every submission; responses come
-    back at departure time (out of order) and are matched by the
-    request tag.  Returns ``{qid: response}`` once every submission is
-    answered.
+    One pipelining :class:`~repro.serve.router.ShardLink` carries every
+    submission; responses come back at departure time, out of order,
+    correlated by the link's tags.  Raises ``RuntimeError`` once every
+    submission is answered if the router refused any of them.
     """
-    from repro.serve.router import LINE_LIMIT
+    from repro.serve.router import ShardLink
 
-    reader, writer = await asyncio.open_connection(host, port, limit=LINE_LIMIT)
-    expected = len(schedule.arrivals)
-    responses: Dict[int, dict] = {}
-
-    async def read_responses() -> None:
-        while len(responses) < expected:
-            line = await reader.readline()
-            if not line:
-                raise ConnectionError("router connection closed mid-run")
-            response = json.loads(line)
-            if "error" in response:
-                raise RuntimeError(f"router refused a submission: {response}")
-            responses[int(response["tag"])] = response
-
-    reader_task = asyncio.ensure_future(read_responses())
+    link = ShardLink(host, port)
+    await link.connect()
     loop = asyncio.get_running_loop()
     t0 = loop.time()
+    sends = []
     try:
         for arrival in schedule.arrivals:
             # Same floored pacing as the in-process gateway replay.
@@ -629,16 +603,16 @@ async def _route_schedule(host, port, schedule, time_scale: float):
                 if delay <= 0.0002:
                     break
                 await asyncio.sleep(_quantize(delay))
-            request = submit_request(arrival)
-            request["tag"] = arrival.qid
-            writer.write(json.dumps(request).encode() + b"\n")
-            await writer.drain()
-        await reader_task
+            sends.append(
+                asyncio.ensure_future(link.request(submit_request(arrival)))
+            )
+        for response in await asyncio.gather(*sends):
+            if "error" in response:
+                raise RuntimeError(f"router refused a submission: {response}")
     finally:
-        if not reader_task.done():
-            reader_task.cancel()
-        writer.close()
-    return responses
+        for send in sends:
+            send.cancel()
+        await link.close()
 
 
 def _merge_reports(
@@ -773,7 +747,7 @@ def _cross_check_sharded(report: LiveShootoutReport) -> None:
 
 
 @dataclass
-class ChaosShootoutReport:
+class ChaosShootoutReport(UnifiedReport):
     """Every policy's degraded-mode outcome under one fault schedule."""
 
     scenario: Scenario
@@ -781,13 +755,9 @@ class ChaosShootoutReport:
     policies: Sequence[str]
     live: Dict[str, LiveReport]
     time_scale: float
-    failures: List[str] = field(default_factory=list)
-    #: Cross-check verdicts (``{name, ok, detail}``) for ``--json``.
+    #: Cross-check verdicts (``{name, ok, detail}``); ``failures`` and
+    #: ``ok`` derive from them.
     checks: List[Dict[str, object]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def unified(self) -> ShootoutReport:
         """Project into the shared :class:`ShootoutReport` surface."""
@@ -844,22 +814,12 @@ class ChaosShootoutReport:
             },
             sections=[self.schedule.describe()],
             checks=self.checks,
-            failures=self.failures,
             failure_heading="CHAOS INVARIANT FAILURES",
             success_line=(
                 "All chaos invariants held: ledgers empty, chunk "
                 "counters conserved, zero grant leaks."
             ),
         )
-
-    def render(self) -> str:
-        return self.unified().render()
-
-    def to_json(self) -> Dict[str, object]:
-        return self.unified().to_json()
-
-    def save_json(self, path) -> None:
-        self.unified().save_json(path)
 
 
 def chaos_shootout(

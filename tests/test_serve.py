@@ -441,12 +441,64 @@ def test_server_rejects_malformed_submissions():
 # ----------------------------------------------------------------------
 # hostile-client hardening
 # ----------------------------------------------------------------------
-async def _served_lines(server_factory, *lines):
-    """Feed raw lines to a fresh server; returns the parsed responses
+def _make_server():
+    from repro.serve.server import LiveServer
+
+    gateway = LiveGateway(scenario_config(), "max", time_scale=0.01)
+    return LiveServer(gateway), gateway
+
+
+class _RoutedShard:
+    """One server shard behind a router, started and closed as one
+    front end (clients only ever see the router)."""
+
+    def __init__(self):
+        self.shard, _ = _make_server()
+        self.router = None
+
+    async def start(self, port=0):
+        from repro.serve.router import ShardRouter
+
+        host, shard_port = await self.shard.start(port=0)
+        self.router = ShardRouter([(host, shard_port)], rebalance_interval=0.0)
+        return await self.router.start(port=port)
+
+    async def close(self):
+        await self.router.close()
+        await self.shard.close()
+
+
+#: Both JSON-lines front ends, behind one start/close surface.
+FRONT_ENDS = {"server": lambda: _make_server()[0], "router": _RoutedShard}
+
+
+def _stats_policy(stats):
+    """The policy a ``stats`` reply names, served directly or routed."""
+    if "shards" in stats:
+        return stats["shards"][0]["policy"]
+    return stats["policy"]
+
+
+async def _stats_over(host, port):
+    from repro.serve.router import LINE_LIMIT
+
+    reader, writer = await asyncio.open_connection(host, port, limit=LINE_LIMIT)
+    try:
+        writer.write(json.dumps({"op": "stats"}).encode() + b"\n")
+        await writer.drain()
+        return json.loads(await reader.readline())
+    finally:
+        writer.close()
+
+
+async def _served_lines(front_end, *lines):
+    """Feed raw lines to a fresh front end; returns the parsed responses
     plus a final stats response proving the connection loop survived."""
-    server, gateway = server_factory()
+    from repro.serve.router import LINE_LIMIT
+
+    server = FRONT_ENDS[front_end]()
     host, port = await server.start(port=0)
-    reader, writer = await asyncio.open_connection(host, port)
+    reader, writer = await asyncio.open_connection(host, port, limit=LINE_LIMIT)
     responses = []
     try:
         for line in lines:
@@ -462,52 +514,57 @@ async def _served_lines(server_factory, *lines):
     return responses
 
 
-def _make_server():
-    from repro.serve.server import LiveServer
-
-    gateway = LiveGateway(scenario_config(), "max", time_scale=0.01)
-    return LiveServer(gateway), gateway
-
-
-def test_server_survives_malformed_json():
+@pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+def test_server_survives_malformed_json(front_end):
     responses = asyncio.run(
-        _served_lines(_make_server, b"this is not json\n")
+        _served_lines(front_end, b"this is not json\n")
     )
     assert "malformed JSON" in responses[0]["error"]
-    assert responses[-1]["policy"] == "Max"  # the loop kept serving
+    assert _stats_policy(responses[-1]) == "Max"  # the loop kept serving
 
 
-def test_server_survives_non_object_json():
-    responses = asyncio.run(_served_lines(_make_server, b"[1, 2, 3]\n"))
+@pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+def test_server_survives_non_object_json(front_end):
+    responses = asyncio.run(_served_lines(front_end, b"[1, 2, 3]\n"))
     assert responses[0]["error"] == "request must be a JSON object"
-    assert responses[-1]["policy"] == "Max"
+    assert _stats_policy(responses[-1]) == "Max"
 
 
-def test_server_oversized_line_gets_an_error_then_close():
-    config = scenario_config()
+@pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+def test_server_oversized_line_gets_an_error_then_close(front_end):
+    from repro.serve.router import LINE_LIMIT
+
+    # Over the front end's line limit (the server's 64 KiB asyncio
+    # default, the router's LINE_LIMIT): framing is unrecoverable, so
+    # one structured error, then EOF.
+    size = {"server": 100_000, "router": LINE_LIMIT + 100_000}[front_end]
 
     async def scenario():
-        from repro.serve.server import LiveServer
-
-        gateway = LiveGateway(config, "max", time_scale=0.01)
-        server = LiveServer(gateway)
+        server = FRONT_ENDS[front_end]()
         host, port = await server.start(port=0)
         reader, writer = await asyncio.open_connection(host, port)
         try:
-            # Over the stream reader's 64 KiB line limit: framing is
-            # unrecoverable, so one structured error, then EOF.
-            writer.write(b"x" * 100_000 + b"\n")
+            writer.write(b"x" * size + b"\n")
             await writer.drain()
             response = json.loads(await reader.readline())
-            trailing = await reader.read()
+            try:
+                trailing = await reader.read()
+            except ConnectionResetError:
+                # Hung up with the line's tail still unread, which TCP
+                # turns into a reset.
+                trailing = None
+            stats = await _stats_over(host, port)
         finally:
             writer.close()
             await server.close()
-        return response, trailing
+        return response, trailing, stats
 
-    response, trailing = asyncio.run(scenario())
+    response, trailing, stats = asyncio.run(scenario())
     assert response == {"error": "request line too long"}
-    assert trailing == b""  # the server closed the ruined connection
+    # The front end closed the ruined connection.  Only the router's
+    # line is long enough to still be in flight when it hangs up.
+    assert trailing == b"" or (front_end == "router" and trailing is None)
+    assert _stats_policy(stats) == "Max"  # ...and kept accepting others
 
 
 def test_server_disconnect_cancels_query_and_releases_grant():
@@ -636,18 +693,19 @@ def test_tenant_class_mapping_is_precomputed():
     assert server.tenant_class("globex") in names
 
 
-def test_server_echoes_request_tags():
+@pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+def test_server_echoes_request_tags(front_end):
     """Any request may carry a ``tag``; the response echoes it (the
     router multiplexes out-of-order submit responses on this)."""
     responses = asyncio.run(
         _served_lines(
-            _make_server,
+            front_end,
             json.dumps({"op": "stats", "tag": 7}).encode() + b"\n",
             json.dumps({"op": "bogus", "tag": "t-1"}).encode() + b"\n",
         )
     )
     assert responses[0]["tag"] == 7
-    assert responses[0]["policy"] == "Max"
+    assert _stats_policy(responses[0]) == "Max"
     assert responses[1]["tag"] == "t-1"  # errors are tagged too
     assert "error" in responses[1]
     assert "tag" not in responses[-1]  # untagged requests stay untagged

@@ -9,7 +9,7 @@ import pytest
 
 from repro.scenarios import ScenarioGenerator
 from repro.serve.gateway import LiveGateway
-from repro.serve.router import HashRing, ShardRouter
+from repro.serve.router import LINE_LIMIT, HashRing, ShardLink, ShardRouter
 from repro.serve.server import LiveServer
 from repro.serve.shard import shard_config, split_evenly
 from repro.serve.shootout import find_multitenant_scenario
@@ -337,9 +337,126 @@ def test_router_close_is_idempotent():
     asyncio.run(scenario())
 
 
+def test_dead_shard_link_fails_later_requests_at_once():
+    """Once a link's read loop ends, a new request must fail with
+    ``ConnectionError`` instead of registering a future that nothing
+    will ever resolve."""
+
+    async def scenario():
+        async def read_one_then_hang_up(reader, writer):
+            await reader.readline()
+            writer.close()
+
+        shard = await asyncio.start_server(read_one_then_hang_up, "127.0.0.1", 0)
+        host, port = shard.sockets[0].getsockname()[:2]
+        link = ShardLink(host, port)
+        await link.connect()
+        errors = []
+        try:
+            for _ in range(2):
+                try:
+                    await asyncio.wait_for(
+                        link.request({"op": "stats"}), timeout=2.0
+                    )
+                except ConnectionError as error:
+                    errors.append(error)
+        finally:
+            await link.close()
+            shard.close()
+            await shard.wait_closed()
+        return errors
+
+    errors = asyncio.run(scenario())
+    # The first request was in flight when the shard hung up; the
+    # second came after and failed at once (no 2 s timeout).
+    assert len(errors) == 2, errors
+
+
+def test_router_answers_dead_shard_as_unreachable_and_keeps_serving():
+    async def scenario():
+        _, servers, router, (host, port) = await _start_farm(
+            rebalance_interval=0.0, placement={"tenant0": 0, "tenant1": 1}
+        )
+        loop = asyncio.get_running_loop()
+        try:
+            await servers[1].close()  # shard 1 dies; its link sees EOF
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=LINE_LIMIT
+            )
+            try:
+                submit = {
+                    "op": "submit", "type": "sort", "pages": 8, "slack": 50.0
+                }
+                dead_submit = await asyncio.wait_for(
+                    _request(writer, reader, {**submit, "tenant": "tenant1"}),
+                    timeout=5.0,
+                )
+                dead_stats = await asyncio.wait_for(
+                    _request(writer, reader, {"op": "stats"}), timeout=5.0
+                )
+                live_submit = await _request(
+                    writer, reader, {**submit, "tenant": "tenant0"}
+                )
+            finally:
+                writer.close()
+        finally:
+            started = loop.time()
+            await _stop_farm(servers, router)
+            close_seconds = loop.time() - started
+        return dead_submit, dead_stats, live_submit, close_seconds
+
+    dead_submit, dead_stats, live_submit, close_seconds = asyncio.run(
+        scenario()
+    )
+    assert "shard unreachable" in dead_submit["error"], dead_submit
+    assert "shard unreachable" in dead_stats["error"], dead_stats
+    # The connection kept serving the live shard's tenant.
+    assert "error" not in live_submit, live_submit
+    assert live_submit["shard"] == 0
+    # No handler stayed pinned on the dead link, so close did not sit
+    # out its idle bound.
+    assert close_seconds < 10.0, close_seconds
+
+
 # ----------------------------------------------------------------------
 # the sharded shootout pipeline (clipped: no migration requirement)
 # ----------------------------------------------------------------------
+def test_route_schedule_raises_on_a_refused_submission():
+    """The shootout's routed replay fails loudly on any ``error``
+    reply instead of counting a refused submission as served."""
+    from repro.serve.dataplane import LiveDataPlane
+    from repro.serve.shootout import _route_schedule
+    from repro.serve.workload import build_schedule
+
+    config = two_tenant_config()
+    schedule = build_schedule(
+        config, LiveDataPlane(config).database, max_arrivals=3
+    )
+
+    async def refuse_all(reader, writer):
+        while True:
+            line = await reader.readline()
+            if not line:
+                break
+            tag = json.loads(line).get("tag")
+            writer.write(
+                json.dumps({"error": "refused", "tag": tag}).encode() + b"\n"
+            )
+        writer.close()
+
+    async def scenario():
+        front = await asyncio.start_server(refuse_all, "127.0.0.1", 0)
+        host, port = front.sockets[0].getsockname()[:2]
+        try:
+            await _route_schedule(host, port, schedule, time_scale=0.0)
+        finally:
+            front.close()
+            await front.wait_closed()
+
+    with pytest.raises(RuntimeError, match="refused a submission"):
+        asyncio.run(scenario())
+
+
 def test_sharded_shootout_conserves_and_merges():
     from repro.serve.shootout import live_shootout
 

@@ -64,7 +64,7 @@ def test_cross_check_flags_policy_dependent_arrivals():
     report.results[0]["max"] = dataclasses.replace(
         doctored, arrivals=doctored.arrivals + 1
     )
-    report.failures.clear()
+    report.checks.clear()
     _cross_check(report)
     assert any("arrival counts differ" in failure for failure in report.failures)
     assert any("repro:" in failure for failure in report.failures)
@@ -74,7 +74,7 @@ def test_cross_check_flags_inconsistent_result():
     report = small_shootout()
     doctored = report.results[1]["minmax"]
     report.results[1]["minmax"] = dataclasses.replace(doctored, miss_ratio=1.5)
-    report.failures.clear()
+    report.checks.clear()
     _cross_check(report)
     assert any("minmax" in failure for failure in report.failures)
 
@@ -88,7 +88,7 @@ def test_cross_check_flags_aggregate_ordering_inversion():
             missed=minmax.served,
             miss_ratio=1.0,
         )
-    report.failures.clear()
+    report.checks.clear()
     _cross_check(report)
     assert any("aggregate ordering" in failure for failure in report.failures)
     assert not report.ok
@@ -162,7 +162,7 @@ def test_cross_check_flags_negative_regret():
     report.oracle[0]["max"] = dataclasses.replace(
         cell, misses=cell.recorded_misses + 1
     )
-    report.failures.clear()
+    report.checks.clear()
     _cross_check(report)
     assert any("negative regret" in failure for failure in report.failures)
 
