@@ -6,9 +6,9 @@ over one buffer pool and one disk farm.  This example makes that
 concrete: a live server (`repro.serve`) runs a multitenant scenario's
 configuration -- one query class per tenant -- and two tenants connect
 over real TCP at the same time, submitting sorts and joins.  Every
-submission flows through the *same* `MemoryBroker`, the same tracked
-allocator, the same cross-query `LiveBufferPool` (one tenant's scan
-warms the cache the other hits), and the same contended per-disk FIFO
+submission flows through the *same* `MemoryBroker`, the same
+cross-query `BufferPool` (grant ledger plus LRU region: one tenant's
+scan warms the cache the other hits), and the same contended per-disk FIFO
 queues.  At the end the server drains gracefully and we print the
 per-tenant outcomes beside the shared-pool telemetry.
 

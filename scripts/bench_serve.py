@@ -4,8 +4,8 @@
 Four probes:
 
 * **admission** -- the broker decision path exactly as the gateway
-  drives it (register -> reallocate -> enforce through the tracked
-  allocator -> depart -> reallocate), measured per policy over a
+  drives it (register -> reallocate -> enforce through the buffer
+  pool -> depart -> reallocate), measured per policy over a
   churning population: sustained admission decisions/second plus
   per-decision latency percentiles.  The serve-smoke CI job asserts
   the sustained rate stays above ``MIN_DECISIONS_PER_SEC``.
@@ -69,11 +69,11 @@ def bench_admission(policy_spec: str, decisions: int, population: int) -> dict:
     """Time the gateway's decision path over a churning population."""
     from repro.core.broker import MemoryBroker
     from repro.policies import make_policy
-    from repro.serve.dataplane import TrackedAllocator
+    from repro.core.devices import BufferPool
 
     policy = make_policy(policy_spec)
     broker = MemoryBroker(policy, total_pages=256, sample_size=30)
-    allocator = TrackedAllocator(256)
+    pool = BufferPool(256)
     latencies = []
     qid = 0
     # Seed a standing population of mixed-demand queries.
@@ -83,12 +83,12 @@ def bench_admission(policy_spec: str, decisions: int, population: int) -> dict:
     for step in range(decisions):
         tick = time.perf_counter()
         decision = broker.reallocate(now=float(step))
-        allocator.apply(decision.allocation)
+        pool.apply(decision.allocation)
         latencies.append(time.perf_counter() - tick)
         # Churn: the oldest query departs, a fresh one arrives.
         victim = qid - population + 1
         broker.release(victim)
-        allocator.release(victim)
+        pool.release(victim)
         qid += 1
         broker.register(
             qid, f"C{qid % 3}", 100.0 + qid, 4 + qid % 13, 20 + qid % 90

@@ -16,8 +16,11 @@ driven by Earliest Deadline priorities and past system behaviour:
 * :mod:`~repro.core.change_detection` -- the workload-change monitor.
 * :mod:`~repro.core.pmm` -- the controller tying it all together.
 * :mod:`~repro.core.devices` -- the host-agnostic device engine (ED
-  queue selection, prefetch cache, LRU data cache, service pricing)
-  shared by the simulator and the live serving layer.
+  queue selection, prefetch cache, service pricing) and the
+  :class:`~repro.core.devices.BufferPool` (grant ledger plus LRU data
+  cache), shared by the simulator and the live serving layer.
+* :mod:`~repro.core.steps` -- :func:`~repro.core.steps.steps`, the one
+  interpreter of an operator's request stream that both hosts run.
 * :mod:`~repro.core.broker` / :mod:`~repro.core.host` -- the memory
   broker and the query lifecycle around it (admission, enactment,
   departures, batch feedback) shared by the same two hosts.
@@ -30,7 +33,12 @@ from repro.core.allocation import (
     allocate_proportional,
 )
 from repro.core.change_detection import WorkloadChangeDetector, WorkloadSample
-from repro.core.devices import DeviceCore, LRUDataCache, PrefetchCache
+from repro.core.devices import (
+    BufferPool,
+    DeviceCore,
+    LRUDataCache,
+    PrefetchCache,
+)
 from repro.core.fairness import ClassMissTracker, FairPMM
 from repro.core.pmm import PMM, BatchStats, DepartureRecord
 from repro.core.projection import CurveType, MissRatioProjection, ProjectionResult
@@ -39,6 +47,7 @@ from repro.core.stats_tests import mean_difference_significant, mean_significant
 
 __all__ = [
     "BatchStats",
+    "BufferPool",
     "ClassMissTracker",
     "CurveType",
     "DepartureRecord",

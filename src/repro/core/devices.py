@@ -1,19 +1,23 @@
-"""The host-agnostic device core: one disk model, any clock.
+"""The host-agnostic device core: one disk model, one buffer pool, any clock.
 
 The paper's results hinge on its device model -- Earliest-Deadline
 disk queues with an elevator tie-break among equal priorities, a small
 (256-KByte) per-disk prefetch cache, sequential-stream tracking that
-makes scan continuations pay pure transfer time, and an LRU data cache
-over the buffer pool's unreserved pages.  Two hosts need that model:
-the discrete-event simulator (:mod:`repro.rtdbs.disk`,
-:mod:`repro.rtdbs.buffer_manager`) and the live serving layer
-(:mod:`repro.serve.dataplane`).  This module holds the *pure* logic
-they share -- no simulator clock, no event loop, no wall time:
+makes scan continuations pay pure transfer time, and a buffer pool
+whose unreserved pages form an LRU data cache.  Two hosts need that
+model: the discrete-event simulator (:mod:`repro.rtdbs.disk`,
+:mod:`repro.rtdbs.query_manager`) and the live serving layer
+(:mod:`repro.serve.dataplane`, :mod:`repro.serve.gateway`).  This
+module holds the *pure* logic they share -- no simulator clock, no
+event loop, no wall time:
 
 * :class:`PrefetchCache` -- the per-disk LRU page cache (reads fully
   covered by recently transferred pages cost no arm time);
 * :class:`LRUDataCache` -- the buffer pool's page-granular LRU region
   with a dynamically adjustable capacity;
+* :class:`BufferPool` -- the Buffer Manager of Section 4.2: the
+  per-query workspace reservations, enforced against the pool size,
+  plus the LRU region over whatever they leave unreserved;
 * :class:`DeviceCore` -- one disk's physical state (head position,
   sweep direction, bounded sequential-stream tails, prefetch cache)
   plus the ``Seek + RotateDelay + Transfer`` pricing of Section 4.2
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import islice
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 READ = "read"
 WRITE = "write"
@@ -168,9 +172,125 @@ class LRUDataCache:
             pages[key] = None
         self._evict_excess()
 
-    def invalidate_all(self) -> None:
-        """Drop every cached page."""
-        self._pages.clear()
+
+class GrantOversubscribedError(RuntimeError):
+    """An allocation vector violated the memory conservation law.
+
+    A ``RuntimeError``, not a ``ValueError``: the serve front end
+    answers a ``ValueError`` as a client error, and an oversubscribing
+    policy is a server fault.
+    """
+
+
+class BufferPool:
+    """The buffer pool: workspace reservations plus LRU over the rest.
+
+    Section 4.2: query operators (sorts and joins) *reserve* buffers as
+    workspaces and manage those pages themselves; the non-reserved
+    remainder of the pool is an LRU data cache that retains recently
+    read operand pages, so concurrent scans of the same relation skip
+    disk reads.  Both hosts install every broker decision here:
+
+    * the **reservation ledger** holds each query's granted pages.  The
+      policy decides the grants; :meth:`apply` re-checks them
+      independently and raises :class:`GrantOversubscribedError` on a
+      negative grant or an oversubscribed pool, so a broken policy
+      fails loudly instead of silently thrashing;
+    * the **LRU region** (:attr:`cache`) shrinks and grows with the
+      reservations: its capacity is always the unreserved page count.
+
+    ``invariants`` is an optional
+    :class:`repro.rtdbs.invariants.InvariantChecker`; ``None`` (the
+    default) keeps ledger updates hook-free.
+    """
+
+    def __init__(self, total_pages: int):
+        if total_pages <= 0:
+            raise ValueError(f"buffer pool must be positive, got {total_pages}")
+        self.total_pages = total_pages
+        self._reserved: Dict[int, int] = {}
+        self.cache = LRUDataCache(total_pages)
+        self.invariants = None
+
+    @property
+    def reserved_pages(self) -> int:
+        """Total pages currently reserved by queries."""
+        return sum(self._reserved.values())
+
+    @property
+    def free_pages(self) -> int:
+        """Pages not reserved (the LRU region's capacity)."""
+        return self.total_pages - self.reserved_pages
+
+    def reservation_of(self, qid: int) -> int:
+        """Pages reserved by one query (0 when none)."""
+        return self._reserved.get(qid, 0)
+
+    # -- the reservation ledger -----------------------------------------
+    def apply(self, allocation: Dict[int, int]) -> None:
+        """Install a full allocation vector (absent queries hold 0)."""
+        total = 0
+        for qid, pages in allocation.items():
+            if pages < 0:
+                raise GrantOversubscribedError(
+                    f"query {qid} granted {pages} < 0 pages"
+                )
+            total += pages
+        if total > self.total_pages:
+            raise GrantOversubscribedError(
+                f"allocation of {total} pages exceeds the "
+                f"{self.total_pages}-page pool"
+            )
+        self._reserved = {qid: pages for qid, pages in allocation.items() if pages > 0}
+        self._ledger_changed()
+
+    def release(self, qid: int) -> None:
+        """Drop one query's reservation (departure or abort)."""
+        if self._reserved.pop(qid, None) is not None:
+            self._ledger_changed()
+
+    def resize(self, total_pages: int) -> None:
+        """Re-bound the pool (an external memory consumer came or went).
+
+        Shrinking below the pages currently reserved would leave the
+        ledger inconsistent, so the caller must reallocate first.
+        """
+        if total_pages <= 0:
+            raise ValueError(f"buffer pool must be positive, got {total_pages}")
+        if total_pages < self.reserved_pages:
+            raise GrantOversubscribedError(
+                f"cannot shrink the pool to {total_pages} pages while "
+                f"{self.reserved_pages} are still reserved"
+            )
+        self.total_pages = total_pages
+        self._ledger_changed()
+
+    def _ledger_changed(self) -> None:
+        self.cache.capacity = self.free_pages
+        if self.invariants is not None:
+            self.invariants.check_buffers(self)
+
+    # -- the LRU region ---------------------------------------------------
+    def read_hit(self, disk: int, start_page: int, npages: int) -> bool:
+        """Whether a cacheable read is fully served from the pool."""
+        return self.cache.contains_all(disk, start_page, npages)
+
+    def install(self, disk: int, start_page: int, npages: int) -> None:
+        """Retain pages that just arrived from disk."""
+        self.cache.insert(disk, start_page, npages)
+
+    @property
+    def hits(self) -> int:
+        return self.cache.hits
+
+    @property
+    def misses(self) -> int:
+        return self.cache.misses
+
+    @property
+    def hit_ratio(self) -> float:
+        consulted = self.cache.hits + self.cache.misses
+        return self.cache.hits / consulted if consulted else 0.0
 
 
 class DeviceCore:

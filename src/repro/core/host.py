@@ -14,8 +14,9 @@ batch window, and the outcome counters.
 An adapter subclasses it and supplies only a clock (any object with a
 ``now`` in simulated seconds), execution start/cancel (``_start`` /
 ``_cancel``), expiry arm/cancel (``_arm_expiry`` / ``_cancel_expiry``),
-``_apply_memory`` plus a ``memory`` ledger with ``release``,
-``reservation_of`` and ``cache.hits`` / ``cache.misses``, and busy
+a ``memory`` ledger (the :class:`~repro.core.devices.BufferPool`:
+``apply``, ``release``, ``reservation_of`` and ``cache.hits`` /
+``cache.misses``; a host may override ``_apply_memory``), and busy
 sources for the CPU and each disk speaking the
 :class:`~repro.sim.monitor.TimeWeighted` ``snapshot`` / ``mean_since``
 protocol.  A job is any object with ``qid``, ``class_name``,
@@ -218,6 +219,9 @@ class BrokerHost:
         decision = self.broker.reallocate(now=self.clock.now)
         self._apply_memory(decision.allocation)
         return decision
+
+    def _apply_memory(self, allocation: Dict[int, int]) -> None:
+        self.memory.apply(allocation)
 
     def _admit(self, job, pages: int) -> None:
         job.state = RUNNING

@@ -66,8 +66,8 @@ class BatchStats:
     #: Per-disk utilisations over the batch window.
     disk_utilizations: Tuple[float, ...] = field(default_factory=tuple)
     #: Shared buffer-pool hit ratio over the batch window (0.0 when the
-    #: host measures none -- the DES buffer manager and the live
-    #: :class:`~repro.serve.dataplane.LiveBufferPool` both supply it).
+    #: host measures none -- both hosts' :class:`~repro.core.devices.
+    #: BufferPool` supply it).
     pool_hit_ratio: float = 0.0
 
     @property

@@ -2,11 +2,14 @@
 
 Five components, as in the paper: a :mod:`~repro.rtdbs.source` that
 generates the workload and collects statistics, a
-:mod:`~repro.rtdbs.query_manager` that models query execution, a
-:mod:`~repro.rtdbs.buffer_manager` that implements LRU replacement plus
-the pluggable memory policy (PMM or a static baseline), and
-:mod:`~repro.rtdbs.cpu` / :mod:`~repro.rtdbs.disk` managers for the
-physical resources.  :mod:`~repro.rtdbs.system` wires them together.
+:mod:`~repro.rtdbs.query_manager` that models query execution over the
+shared request-stream interpreter (:func:`repro.core.steps.steps`), a
+buffer manager -- the :class:`repro.core.devices.BufferPool` shared
+with the live serving layer -- that enforces the pluggable memory
+policy's grants (PMM or a static baseline) and implements LRU
+replacement over the unreserved pages, and :mod:`~repro.rtdbs.cpu` /
+:mod:`~repro.rtdbs.disk` managers for the physical resources.
+:mod:`~repro.rtdbs.system` wires them together.
 """
 
 from repro.rtdbs.config import (

@@ -207,11 +207,6 @@ class WorkloadParams:
     #: per outer tuple.
     join_selectivity: float = 1.0
 
-    @property
-    def num_classes(self) -> int:
-        """``NumClasses``."""
-        return len(self.classes)
-
     def validate(self, num_groups: int) -> None:
         """Raise ``ValueError`` on inconsistent settings."""
         if not self.classes:

@@ -33,17 +33,6 @@ class CPU:
         self.instructions_executed += instructions
         return self._server.submit(instructions, priority)
 
-    def execute_call(self, instructions: float, priority: float, callback) -> CallbackBurst:
-        """Submit a burst whose completion invokes ``callback(burst)``.
-
-        The Event-free fast path for callers that chain resources via
-        callbacks (the per-block CPU-then-disk pipeline).
-        """
-        if instructions < 0:
-            raise ValueError(f"negative instruction count: {instructions}")
-        self.instructions_executed += instructions
-        return self._server.submit_call(instructions, priority, callback)
-
     def execute_reuse(self, burst: CallbackBurst, instructions: float, priority: float) -> None:
         """Re-submit a recycled :class:`CallbackBurst` with fresh work."""
         self.instructions_executed += instructions

@@ -37,27 +37,18 @@ __all__ = ["READ", "WRITE", "DiskRequest", "PrefetchCache", "Disk"]
 
 
 class DiskRequest(Event):
-    """Completion event for one disk access."""
+    """Completion event for one disk access (``Disk.submit``)."""
 
     __slots__ = ("kind", "start_page", "npages", "priority", "_seq", "cylinder")
 
     def __init__(
-        self,
-        sim: Simulator,
-        kind: str,
-        start_page: int,
-        npages: int,
-        priority: float,
-        seq: int,
-        cylinder: int,
+        self, sim: Simulator, kind: str, start_page: int, npages: int, priority: float
     ):
         super().__init__(sim)
         self.kind = kind
         self.start_page = start_page
         self.npages = npages
         self.priority = priority
-        self._seq = seq
-        self.cylinder = cylinder
 
 
 class Disk:
@@ -106,19 +97,6 @@ class Disk:
         """Current head position, cylinders."""
         return self.core.head
 
-    @head.setter
-    def head(self, value: int) -> None:
-        self.core.head = value
-
-    @property
-    def direction(self) -> int:
-        """Elevator sweep direction: +1 inward, -1 outward."""
-        return self.core.direction
-
-    @direction.setter
-    def direction(self, value: int) -> None:
-        self.core.direction = value
-
     @property
     def sequential_continuations(self) -> int:
         return self.core.sequential_continuations
@@ -132,42 +110,22 @@ class Disk:
         Reads whose pages are all in the prefetch cache complete
         immediately without using the disk arm.
         """
-        if npages <= 0:
-            raise ValueError(f"disk access must cover at least one page, got {npages}")
         if kind != READ and kind != WRITE:
             raise ValueError(f"unknown access kind {kind!r}")
-        last_page = start_page + npages - 1
-        if start_page < 0 or last_page >= self._pages_per_disk:
-            raise ValueError(
-                f"disk {self.disk_id}: access [{start_page}, {last_page}] out of range"
-            )
-        self.submitted += 1
-        self._sequence += 1
-        cylinder = start_page // self._cylinder_size
-        request = DiskRequest(
-            self.sim, kind, start_page, npages, priority, self._sequence, cylinder
-        )
-        if kind == READ and self.cache.contains_all(start_page, npages):
-            self.cache.touch(start_page, npages)
+        request = DiskRequest(self.sim, kind, start_page, npages, priority)
+        if self.submit_op(request):
             request.succeed(None)
-            return request
-        if self._serving is None and not self._queue:
-            self._serve(request)  # uncontended: skip the heap entirely
-        else:
-            heapq.heappush(self._queue, (priority, request._seq, request))
-            if self._serving is None:
-                self._serve_next()
         return request
 
     def submit_op(self, op) -> bool:
         """Queue an access whose completion event is ``op`` itself.
 
         ``op`` must carry ``kind``/``start_page``/``npages``/``priority``
-        and be a waitable :class:`Event` (the query manager's per-block
-        CPU+disk op).  Scheduling the op directly avoids allocating a
-        separate :class:`DiskRequest` per access.  Returns ``True`` when
-        the access was served from the prefetch cache (no arm time; the
-        op was not queued and the caller completes it).
+        and be a waitable :class:`Event` (a :class:`DiskRequest`, or the
+        query manager's per-block CPU+disk op, which saves allocating a
+        request per access).  Returns ``True`` when the access was
+        served from the prefetch cache (no arm time; the op was not
+        queued and the caller completes it).
         """
         start_page = op.start_page
         npages = op.npages
@@ -179,14 +137,13 @@ class Disk:
                 f"{start_page + npages - 1}] out of range"
             )
         self.submitted += 1
-        if op.kind == READ and self.cache.contains_all(start_page, npages):
-            self.cache.touch(start_page, npages)
+        if op.kind == READ and self.core.read_hit(start_page, npages):
             return True
         self._sequence += 1
         op._seq = self._sequence
         op.cylinder = start_page // self._cylinder_size
         if self._serving is None and not self._queue:
-            self._serve(op)
+            self._serve(op)  # uncontended: skip the heap entirely
         else:
             heapq.heappush(self._queue, (op.priority, op._seq, op))
             if self._serving is None:

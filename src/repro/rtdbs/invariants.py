@@ -64,7 +64,7 @@ class InvariantChecker:
         self.system: Optional["RTDBSystem"] = None
         self.broker: Optional["MemoryBroker"] = None
         #: Live shared buffer pool (``repro.serve``'s
-        #: :class:`~repro.serve.dataplane.LiveBufferPool``), when the
+        #: :class:`~repro.core.devices.BufferPool`), when the
         #: checker watches a standalone broker with a live data plane.
         self.pool = None
         #: The live :class:`~repro.core.host.BrokerHost` (attached with
@@ -133,8 +133,8 @@ class InvariantChecker:
         The live serving layer uses this: the allocation-contract laws
         are checked on every decision the broker makes; when the live
         shared buffer pool is given, the buffer-ledger laws are checked
-        on every pool update too (``pool`` exposes the same ledger
-        surface as the DES :class:`BufferManager`, so
+        on every pool update too (both hosts use the one
+        :class:`~repro.core.devices.BufferPool`, so
         :meth:`check_buffers` applies verbatim); and when the
         :class:`~repro.core.host.BrokerHost` is given, population
         conservation is checked on every departure.
@@ -211,7 +211,7 @@ class InvariantChecker:
             )
 
     # ------------------------------------------------------------------
-    # hook: BufferManager.apply_allocation / release
+    # hook: BufferPool.apply / release / resize
     # ------------------------------------------------------------------
     def check_buffers(self, buffers) -> None:
         """Reservation-ledger laws, checked after every ledger update."""

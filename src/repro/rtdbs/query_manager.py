@@ -10,28 +10,28 @@ firm-RTDBS semantics [Hari90]):
 
 * the clock is the :class:`~repro.sim.simulator.Simulator`; deadline
   expiries are simulator timeouts;
-* an admitted query runs as a simulator process that translates its
-  operator's requests (CPU bursts, disk accesses, allocation waits)
-  into simulated resource usage, charging the Table 4 "start an I/O"
-  CPU cost before every disk access and consulting the buffer pool's
-  LRU region for cacheable reads;
+* an admitted query runs as a simulator process over the shared
+  request-stream interpreter, :func:`~repro.core.steps.steps`: each
+  CPU step becomes a CPU burst, each disk step a CPU burst (its
+  per-block work plus the Table 4 "start an I/O" cost) chained into a
+  disk access, and each grant wait an event fired by the next re-grant;
 * an expired query's outstanding resource request is withdrawn and its
   process interrupted, wherever it is;
-* grants are installed in the :class:`BufferManager`, and the batch
-  window reads the CPU and disk busy monitors.
+* grants are installed in the :class:`~repro.core.devices.BufferPool`,
+  and the batch window reads the CPU and disk busy monitors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.broker import MemoryBroker
+from repro.core.devices import READ, BufferPool
 from repro.core.host import ABORTED, DONE, RUNNING, WAITING, BrokerHost
+from repro.core.steps import CPU_WORK, DISK_IO, steps
 from repro.policies.base import MemoryPolicy
 from repro.queries.base import MemoryGrant, Operator
-from repro.queries.requests import AllocationWait, CPUBurst, DiskAccess, READ
-from repro.rtdbs.buffer_manager import BufferManager
 from repro.rtdbs.config import SimulationConfig
 from repro.rtdbs.cpu import CPU
 from repro.rtdbs.disk import Disk
@@ -56,7 +56,8 @@ class _DiskOp(Event):
     The op is also the *disk request itself* (via ``Disk.submit_op``)
     and its CPU stage is an Event-free :class:`CallbackBurst`.  A job
     has at most one outstanding access, so the op (and its burst) are
-    allocated once per query and recycled for every block.
+    allocated once per query and recycled for every block: the query
+    manager re-arms its fields and resubmits the burst per access.
     """
 
     __slots__ = ("cpu", "disk", "kind", "start_page", "npages", "priority",
@@ -72,17 +73,6 @@ class _DiskOp(Event):
         self.npages = 0
         self.stage = "cpu"
         self.burst = CallbackBurst(0.0, priority, 0, self._cpu_done)
-
-    def begin(self, disk, access, start_io: float) -> None:
-        """Arm the op for one :class:`DiskAccess` and submit its CPU leg."""
-        self._triggered = False
-        self._value = None
-        self.disk = disk
-        self.kind = access.kind
-        self.start_page = access.start_page
-        self.npages = access.npages
-        self.stage = "cpu"
-        self.cpu.execute_reuse(self.burst, start_io + access.cpu, self.priority)
 
     def _cpu_done(self, _burst) -> None:
         if self._cancelled:
@@ -142,7 +132,12 @@ class QueryJob:
 
 
 class QueryManager(BrokerHost):
-    """The DES adapter: binds the shared lifecycle to simulated resources."""
+    """The DES adapter: binds the shared lifecycle to simulated resources.
+
+    Grants go into the :class:`~repro.core.devices.BufferPool`
+    (``buffers``); each admitted query's process runs the steps of
+    :func:`~repro.core.steps.steps` on the simulated CPU and disks.
+    """
 
     def __init__(
         self,
@@ -151,7 +146,7 @@ class QueryManager(BrokerHost):
         policy: MemoryPolicy,
         cpu: CPU,
         disks: List[Disk],
-        buffers: BufferManager,
+        buffers: BufferPool,
     ):
         super().__init__(
             MemoryBroker(policy, buffers.total_pages, config.pmm.sample_size),
@@ -174,9 +169,6 @@ class QueryManager(BrokerHost):
     # ------------------------------------------------------------------
     # adapter hooks
     # ------------------------------------------------------------------
-    def _apply_memory(self, allocation: Dict[int, int]) -> None:
-        self.buffers.apply_allocation(allocation)
-
     def _arm_expiry(self, job: QueryJob) -> None:
         timer = self.sim.timeout(max(0.0, job.deadline - self.sim.now))
         timer.callbacks.append(lambda _evt, j=job: self.expire(j))
@@ -224,7 +216,7 @@ class QueryManager(BrokerHost):
     # operator driving
     # ------------------------------------------------------------------
     def _drive(self, job: QueryJob):
-        """Translate the operator's request stream into resource usage."""
+        """Turn the operator's steps into simulated resource usage."""
         start_io = self.config.cpu_costs.start_io
         cpu = self.cpu
         disks = self.disks
@@ -232,47 +224,39 @@ class QueryManager(BrokerHost):
         priority = job.priority  # the deadline: fixed for the job's life
         op: Optional[_DiskOp] = None  # lazily created, reused per block
         try:
-            for request in job.operator.run():
-                request_type = type(request)
-                if request_type is DiskAccess:
-                    cacheable_read = request.kind == READ and request.cacheable
-                    if cacheable_read and buffers.read_hit(
-                        request.disk, request.start_page, request.npages
-                    ):
-                        # Served from the buffer pool: no I/O, but the
-                        # attached per-block processing burst still runs.
-                        if request.cpu > 0.0:
-                            handle = cpu.execute(request.cpu, priority)
-                            job.pending = handle
-                            yield handle
-                            job.pending = None
-                        continue
+            for kind, payload, install in steps(job, buffers):
+                if kind is DISK_IO:
                     if op is None:
                         op = _DiskOp(self.sim, cpu, priority)
-                    op.begin(disks[request.disk], request, start_io)
+                    # Re-arm the op for this access; its CPU leg runs
+                    # the per-block burst plus the start-I/O cost.
+                    op._triggered = False
+                    op._value = None
+                    op.disk = disks[payload.disk]
+                    op.kind = payload.kind
+                    op.start_page = payload.start_page
+                    op.npages = payload.npages
+                    op.stage = "cpu"
+                    cpu.execute_reuse(op.burst, start_io + payload.cpu, priority)
                     job.pending = op
                     yield op
                     job.pending = None
-                    if cacheable_read:
-                        buffers.install(
-                            request.disk, request.start_page, request.npages
-                        )
-                elif request_type is CPUBurst:
-                    handle = cpu.execute(request.instructions, priority)
-                    if not handle.triggered:  # zero-work bursts skip the queue
+                    if install:
+                        buffers.install(payload.disk, payload.start_page, payload.npages)
+                elif kind is CPU_WORK:
+                    # Zero-work bursts still go through the CPU (which
+                    # numbers them) but complete without queueing.
+                    handle = cpu.execute(payload, priority)
+                    if not handle.triggered:
                         job.pending = handle
                         yield handle
                     job.pending = None
-                elif request_type is AllocationWait:
-                    if job.grant.pages > 0:
-                        continue  # raced with a re-grant: keep going
+                else:  # GRANT_WAIT: sleep until the next re-grant
                     wake = self.sim.event()
-                    job.grant.on_change(lambda evt=wake: evt.succeed(None))
+                    payload.on_change(lambda evt=wake: evt.succeed(None))
                     job.pending = wake
                     yield wake
                     job.pending = None
-                else:  # pragma: no cover - operator contract violation
-                    raise TypeError(f"unknown operator request {request!r}")
         except Interrupt:
             # Firm-deadline abort: fall through, expire() cleans up.
             return

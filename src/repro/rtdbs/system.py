@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro.core.devices import BufferPool
 from repro.policies.base import MemoryPolicy
 from repro.policies.registry import make_policy
 from repro.queries.base import OperatorContext
-from repro.rtdbs.buffer_manager import BufferManager
 from repro.rtdbs.config import SimulationConfig
 from repro.rtdbs.cpu import CPU
 from repro.rtdbs.database import Database
@@ -151,7 +151,7 @@ class RTDBSystem:
             for index in range(resources.num_disks)
         ]
         self.database = Database(config.database, resources, self.streams)
-        self.buffers = BufferManager(self.sim, resources.memory_pages)
+        self.buffers = BufferPool(resources.memory_pages)
         self.operator_context = OperatorContext(
             tuples_per_page=config.tuples_per_page,
             block_size=resources.block_size,

@@ -35,7 +35,6 @@ from repro.serve.dataplane import (
     LiveDataPlane,
     LiveDisk,
     PageStore,
-    TrackedAllocator,
 )
 from repro.serve.gateway import LiveGateway, LiveReport, run_live
 from repro.serve.router import HashRing, Migration, ShardLink, ShardRouter
@@ -72,7 +71,6 @@ __all__ = [
     "ServeProcess",
     "ShardLink",
     "ShardRouter",
-    "TrackedAllocator",
     "build_schedule",
     "find_multitenant_scenario",
     "launch_shards",

@@ -210,6 +210,17 @@ async def _wait_for_stop_signal() -> None:
     await stop.wait()
 
 
+def _drain_verdict(final: dict) -> tuple:
+    """The router's drain verdict: conservation held, broke, or could
+    not be checked because a shard was unreachable."""
+    conservation = final["conservation"]
+    if final["unreachable"]:
+        return False, f"UNVERIFIED: shard(s) {final['unreachable']} unreachable"
+    if conservation["complete"]:
+        return True, "ok"
+    return False, f"VIOLATED {conservation}"
+
+
 def _scenario(args):
     """The scenario ``--tenants`` (or else ``--family``/``--index``) names."""
     from repro.scenarios import ScenarioGenerator
@@ -314,10 +325,9 @@ def _cmd_route(args) -> int:
         print("repro.serve: router draining", flush=True)
         final = await router.drain_stats()
         await router.close()
-        conservation = final["conservation"]
-        ok = bool(conservation["complete"])
-        verdict = "ok" if ok else f"VIOLATED {conservation}"
-        print(f"repro.serve: router drained cleanly -- routed "
+        ok, verdict = _drain_verdict(final)
+        print(f"repro.serve: router drained "
+              f"{'cleanly' if ok else 'with errors'} -- routed "
               f"{final['arrivals']} arrivals across {args.shards} shards, "
               f"{len(final['migrations'])} migrations, "
               f"conservation {verdict}", flush=True)

@@ -1,25 +1,12 @@
 """The live data plane: real pages, real grants, shared and contended.
 
-Five pieces back the live serving layer's execution substrate:
+Four pieces back the live serving layer's execution substrate:
 
 * :class:`PageStore` -- a sparse in-memory "disk": page-granular byte
   storage with deterministic content for never-written (base relation)
   pages.  Operator disk accesses move real bytes through it, so the
   worker pool does genuine memory traffic rather than sleeping through
   a model.
-* :class:`TrackedAllocator` -- the grant enforcement ledger.  Every
-  allocation decision the broker makes is installed here first; the
-  allocator re-checks the conservation law (sum of holdings never
-  exceeds the pool) independently of the policy and raises
-  :class:`GrantOversubscribedError` on any violation, so a broken
-  policy can never silently oversubscribe a live server.
-* :class:`LiveBufferPool` -- the *shared* buffer pool: the allocator's
-  reservation ledger plus a cross-query LRU region over the unreserved
-  remainder, mirroring the simulator's
-  :class:`~repro.rtdbs.buffer_manager.BufferManager` semantics.  Every
-  concurrent query and tenant consults the same pool, so one tenant's
-  operand scan can serve another's re-read -- and one tenant's memory
-  reservations shrink everyone's cache.
 * :class:`LiveDisk` -- the contended disk model: an Earliest-Deadline
   service queue per disk with the elevator tie-break, wrapped around
   the same :class:`~repro.core.devices.DeviceCore` the simulator's
@@ -35,6 +22,14 @@ Five pieces back the live serving layer's execution substrate:
   :class:`PageStore` + :class:`LiveDisk` per disk, and the
   :class:`~repro.queries.base.OperatorContext` wired to the database's
   temp-extent allocators.
+* :data:`LiveBufferPool` -- the *shared* buffer pool, which is the
+  simulator's own :class:`~repro.core.devices.BufferPool`: a grant
+  ledger that raises :class:`GrantOversubscribedError` on any
+  conservation-law violation, plus one cross-query LRU region over the
+  unreserved remainder.  Every concurrent query and tenant consults
+  the same pool, so one tenant's operand scan can serve another's
+  re-read -- and one tenant's memory reservations shrink everyone's
+  cache.
 """
 
 from __future__ import annotations
@@ -43,178 +38,18 @@ import asyncio
 import heapq
 from typing import Dict, List, Tuple
 
-from repro.core.devices import DeviceCore, LRUDataCache
+from repro.core.devices import BufferPool, DeviceCore, GrantOversubscribedError
 from repro.queries.base import OperatorContext
 from repro.rtdbs.config import SimulationConfig
 from repro.rtdbs.database import Database
 from repro.sim.rng import Streams
 
-
-class GrantOversubscribedError(RuntimeError):
-    """An allocation vector violated the memory conservation law."""
+#: The live name of the one buffer pool both hosts share.
+LiveBufferPool = BufferPool
 
 
 class GrantLeakError(RuntimeError):
     """The gateway closed with grants still held in the ledger."""
-
-
-class TrackedAllocator:
-    """Independent ledger of live memory grants, pages per query.
-
-    The broker's policy *decides* grants; this class *enforces* them:
-    :meth:`apply` installs a full allocation vector and fails loudly if
-    it oversubscribes the pool or contains a negative grant.  The
-    ledger is deliberately redundant with the broker's own bookkeeping
-    -- it is the live system's equivalent of the simulator's
-    :class:`~repro.rtdbs.buffer_manager.BufferManager` oversubscription
-    guard plus the invariant checker's buffer laws.
-    """
-
-    def __init__(self, total_pages: int):
-        if total_pages <= 0:
-            raise ValueError(f"buffer pool must be positive, got {total_pages}")
-        self.total_pages = total_pages
-        self._holdings: Dict[int, int] = {}
-        #: Decisions installed so far (the admission-decision counter).
-        self.applied = 0
-
-    @property
-    def reserved_pages(self) -> int:
-        return sum(self._holdings.values())
-
-    @property
-    def free_pages(self) -> int:
-        return self.total_pages - self.reserved_pages
-
-    def holding(self, qid: int) -> int:
-        return self._holdings.get(qid, 0)
-
-    def apply(self, allocation: Dict[int, int]) -> None:
-        """Install a full allocation vector (absent queries hold 0)."""
-        total = 0
-        for qid, pages in allocation.items():
-            if pages < 0:
-                raise GrantOversubscribedError(
-                    f"query {qid} granted {pages} < 0 pages"
-                )
-            total += pages
-        if total > self.total_pages:
-            raise GrantOversubscribedError(
-                f"allocation of {total} pages exceeds the "
-                f"{self.total_pages}-page pool"
-            )
-        self._holdings = {q: p for q, p in allocation.items() if p > 0}
-        self.applied += 1
-
-    def release(self, qid: int) -> None:
-        self._holdings.pop(qid, None)
-
-    def resize(self, total_pages: int) -> None:
-        """Change the pool bound (an external memory consumer came or
-        went).  Shrinking below the pages currently reserved would turn
-        the ledger inconsistent, so the caller must reallocate first."""
-        if total_pages <= 0:
-            raise ValueError(f"buffer pool must be positive, got {total_pages}")
-        if total_pages < self.reserved_pages:
-            raise GrantOversubscribedError(
-                f"cannot shrink the pool to {total_pages} pages while "
-                f"{self.reserved_pages} are still reserved"
-            )
-        self.total_pages = total_pages
-
-
-class LiveBufferPool:
-    """The shared buffer pool: reservations + cross-query LRU reuse.
-
-    Live equivalent of the simulator's
-    :class:`~repro.rtdbs.buffer_manager.BufferManager`: the policy's
-    grants are installed through the :class:`TrackedAllocator` (which
-    enforces the conservation law), and whatever the grants leave
-    unreserved backs an LRU data cache shared by *every* concurrent
-    query.  Cacheable operand reads consult the cache before paying
-    for a disk access and are retained in it afterwards, so live miss
-    ratios respond to pool size and load exactly the way the DES's
-    buffer manager makes them.
-
-    The attribute surface (``total_pages`` / ``_reserved`` / ``cache``)
-    deliberately matches ``BufferManager`` so
-    :meth:`repro.rtdbs.invariants.InvariantChecker.check_buffers`
-    asserts the identical ledger laws on the live pool.
-    """
-
-    def __init__(self, allocator: TrackedAllocator):
-        self.allocator = allocator
-        self.total_pages = allocator.total_pages
-        self.cache = LRUDataCache(allocator.total_pages)
-        #: Optional :class:`repro.rtdbs.invariants.InvariantChecker`;
-        #: ``None`` (the default) keeps ledger updates hook-free.
-        self.invariants = None
-
-    # -- ledger views (the InvariantChecker reads these) ----------------
-    @property
-    def _reserved(self) -> Dict[int, int]:
-        return self.allocator._holdings
-
-    @property
-    def reserved_pages(self) -> int:
-        return self.allocator.reserved_pages
-
-    @property
-    def free_pages(self) -> int:
-        return self.allocator.free_pages
-
-    def reservation_of(self, qid: int) -> int:
-        return self.allocator.holding(qid)
-
-    # -- grant installation ---------------------------------------------
-    def apply(self, allocation: Dict[int, int]) -> None:
-        """Install a decision: enforce it, then resize the LRU region."""
-        self.allocator.apply(allocation)
-        self.cache.capacity = self.allocator.free_pages
-        if self.invariants is not None:
-            self.invariants.check_buffers(self)
-
-    def release(self, qid: int) -> None:
-        """Drop one query's reservation (departure or abort)."""
-        self.allocator.release(qid)
-        self.cache.capacity = self.allocator.free_pages
-        if self.invariants is not None:
-            self.invariants.check_buffers(self)
-
-    def resize(self, total_pages: int) -> None:
-        """Re-bound the pool (memory-pressure window opened or closed).
-
-        Resizes the allocator (which refuses to shrink below current
-        reservations) and re-derives the LRU region from the new free
-        space; the ledger laws are re-checked immediately.
-        """
-        self.allocator.resize(total_pages)
-        self.total_pages = total_pages
-        self.cache.capacity = self.allocator.free_pages
-        if self.invariants is not None:
-            self.invariants.check_buffers(self)
-
-    # -- the cross-query cache ------------------------------------------
-    def read_hit(self, disk: int, start_page: int, npages: int) -> bool:
-        """Whether a cacheable read is fully served from the pool."""
-        return self.cache.contains_all(disk, start_page, npages)
-
-    def install(self, disk: int, start_page: int, npages: int) -> None:
-        """Retain pages that just arrived from a live disk."""
-        self.cache.insert(disk, start_page, npages)
-
-    @property
-    def hits(self) -> int:
-        return self.cache.hits
-
-    @property
-    def misses(self) -> int:
-        return self.cache.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        consulted = self.cache.hits + self.cache.misses
-        return self.cache.hits / consulted if consulted else 0.0
 
 
 class _DiskWaiter:

@@ -486,7 +486,7 @@ def recover_journal(path, policy=None) -> RecoveredLedger:
     replays every operation through a fresh broker with the
     :class:`~repro.rtdbs.invariants.InvariantChecker` attached and
     decision verification on, re-applies the final allocation through a
-    fresh :class:`~repro.serve.dataplane.TrackedAllocator` (the
+    fresh :class:`~repro.core.devices.BufferPool` ledger (the
     conservation law at the crash point), then releases every orphaned
     in-flight query and issues one final decision -- which must come
     back empty.  Raises on any divergence; returns the
@@ -495,7 +495,7 @@ def recover_journal(path, policy=None) -> RecoveredLedger:
     from repro.core.broker import MemoryBroker, replay_ops
     from repro.policies.registry import make_policy
     from repro.rtdbs.invariants import InvariantChecker
-    from repro.serve.dataplane import TrackedAllocator
+    from repro.core.devices import BufferPool
 
     header, ops = load_journal(path)
     if header is None:
@@ -510,8 +510,8 @@ def recover_journal(path, policy=None) -> RecoveredLedger:
 
     # The conservation law at the crash point: the surviving entries'
     # grants must fit the (possibly thief-shrunken) pool.
-    allocator = TrackedAllocator(broker.total_pages)
-    allocator.apply(
+    ledger = BufferPool(broker.total_pages)
+    ledger.apply(
         {entry.qid: entry.pages for entry in broker.present if entry.pages > 0}
     )
 
@@ -522,9 +522,9 @@ def recover_journal(path, policy=None) -> RecoveredLedger:
             last_now = float(op[1])
     for qid in survivors:
         broker.release(qid)
-        allocator.release(qid)
+        ledger.release(qid)
     final = broker.reallocate(now=last_now)
-    allocator.apply(final.allocation)
+    ledger.apply(final.allocation)
     return RecoveredLedger(
         policy=spec,
         total_pages=broker.total_pages,

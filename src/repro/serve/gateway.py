@@ -10,16 +10,15 @@ clock (:class:`LoopClock`) against real concurrent queries -- the
 admission, enactment, departure and batch-feedback code.  On the
 live side:
 
-* decisions are enforced through a
-  :class:`~repro.serve.dataplane.TrackedAllocator` (an independent
+* decisions are enforced through the shared
+  :class:`~repro.core.devices.BufferPool` (an independent
   conservation-law ledger) before any grant reaches an operator;
 * admitted queries run the *real* adaptive operators of
   :mod:`repro.queries` -- the PPHJ hash join and the adaptive external
   sort -- against the in-memory relations of a
   :class:`~repro.serve.dataplane.LiveDataPlane`.  The data plane is
-  *shared and contended*: cacheable operand reads consult one
-  cross-query :class:`~repro.serve.dataplane.LiveBufferPool` (the live
-  buffer manager -- reservations shrink the LRU region every query
+  *shared and contended*: cacheable operand reads consult the same
+  cross-query pool (reservations shrink the LRU region every query
   shares), disk accesses consult the per-disk prefetch cache and queue
   in Earliest-Deadline order with the elevator tie-break on per-disk
   :class:`~repro.serve.dataplane.LiveDisk` service queues -- the same
@@ -55,6 +54,7 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.broker import AllocationDecision, BrokerTrace, MemoryBroker
+from repro.core.devices import READ, BufferPool
 from repro.core.host import (
     ABORTED,
     DONE,
@@ -64,19 +64,13 @@ from repro.core.host import (
     CumulativeBusy,
     HostCounts,
 )
+from repro.core.steps import CPU_WORK, DISK_IO, steps
 from repro.policies.base import MemoryPolicy
 from repro.policies.registry import make_policy
 from repro.queries.base import MemoryGrant, Operator
 from repro.queries.cost_model import StandAloneCostModel
-from repro.queries.requests import AllocationWait, CPUBurst, DiskAccess, READ
 from repro.rtdbs.config import SimulationConfig
-from repro.serve.dataplane import (
-    GrantLeakError,
-    LiveBufferPool,
-    LiveDataPlane,
-    LiveDisk,
-    TrackedAllocator,
-)
+from repro.serve.dataplane import GrantLeakError, LiveDataPlane, LiveDisk
 from repro.serve.faults import (
     CircuitBreaker,
     DiskFaultError,
@@ -378,9 +372,8 @@ class LiveGateway(BrokerHost):
         self.workers = (
             workers if workers is not None else config.resources.num_disks + 1
         )
-        self.allocator = TrackedAllocator(config.resources.memory_pages)
         #: The shared, cross-query buffer pool (grants + LRU reuse).
-        self.pool = LiveBufferPool(self.allocator)
+        self.pool = BufferPool(config.resources.memory_pages)
         self.dataplane = LiveDataPlane(config, payload_bytes=payload_bytes)
         #: The contended per-disk ED+elevator service queues.
         self.disks: List[LiveDisk] = self.dataplane.disks
@@ -473,9 +466,9 @@ class LiveGateway(BrokerHost):
                 and loop.time() < deadline
             ):
                 await asyncio.sleep(0.001)
-        if self.allocator.reserved_pages:
+        if self.pool.reserved_pages:
             raise GrantLeakError(
-                f"gateway closed with {self.allocator.reserved_pages} pages "
+                f"gateway closed with {self.pool.reserved_pages} pages "
                 "still reserved in the grant ledger"
             )
 
@@ -643,8 +636,8 @@ class LiveGateway(BrokerHost):
         """Resize the effective buffer pool (memory-pressure fault).
 
         Shrinking re-allocates *before* the ledger shrinks, so every
-        grant already fits the new bound when the allocator's
-        conservation check runs; growing resizes first so the policy
+        grant already fits the new bound when the pool's conservation
+        check runs; growing resizes first so the policy
         can immediately spend the returned pages.
         """
         if pages == self.broker.total_pages:
@@ -698,9 +691,6 @@ class LiveGateway(BrokerHost):
             report.decision_max_seconds = elapsed
         return decision
 
-    def _apply_memory(self, allocation: Dict[int, int]) -> None:
-        self.pool.apply(allocation)
-
     def _arm_expiry(self, job: LiveQuery) -> None:
         job.expiry = self.clock.call_at(job.deadline, self._guard, self.expire, job)
 
@@ -746,14 +736,15 @@ class LiveGateway(BrokerHost):
         self._guard(self.complete, job)
 
     async def _drive(self, job: LiveQuery) -> None:
-        """Execute the operator's request stream against the data plane.
+        """Pay the operator's steps against the data plane.
 
-        Disk accesses are priced by the shared
+        The request stream is read by the shared interpreter,
+        :func:`~repro.core.steps.steps`, exactly as the DES reads it:
+        cacheable operand reads that the cross-query pool holds skip
+        the disk.  Disk steps are priced by the shared
         :class:`~repro.core.devices.DeviceCore` -- the same seek /
         rotate / transfer rules and stream-tail state the DES disks run
-        -- against *shared, contended* resources: cacheable operand
-        reads consult the cross-query :class:`LiveBufferPool` first (a
-        hit skips the disk entirely), any read then consults the
+        -- against *shared, contended* resources: any read consults the
         per-disk prefetch cache (a hit costs no arm time, as in
         ``Disk.submit_op``), positioning reads the per-disk head and
         stream state every query updates (interleaved scans break each
@@ -782,20 +773,9 @@ class LiveGateway(BrokerHost):
         cpu_debt = 0.0
         disk_debt: Dict[int, float] = {}  # wall seconds per disk
         disk_ops: Dict[int, List[tuple]] = {}
-        for request in job.operator.run():
-            request_type = type(request)
-            if request_type is DiskAccess:
-                cacheable_read = request.kind == READ and request.cacheable
-                if cacheable_read and pool.read_hit(
-                    request.disk, request.start_page, request.npages
-                ):
-                    # Served from the shared pool: no disk time, but
-                    # the attached per-block processing burst still
-                    # runs (mirror of the DES buffer-hit path).
-                    cpu_debt += request.cpu / cpu_rate * scale
-                    if cpu_debt >= MIN_SLEEP:
-                        cpu_debt = await self._cpu_chunk(job, cpu_debt)
-                    continue
+        for kind, payload, install in steps(job, pool):
+            if kind is DISK_IO:
+                request = payload
                 disk = disks[request.disk]
                 serving_index = request.disk
                 if disk.faulted:
@@ -815,7 +795,7 @@ class LiveGateway(BrokerHost):
                     ):
                         # Per-disk prefetch-cache hit: no arm time, the
                         # same short-circuit as ``Disk.submit_op``.
-                        if cacheable_read:
+                        if install:
                             pool.install(
                                 request.disk, request.start_page, request.npages
                             )
@@ -832,62 +812,34 @@ class LiveGateway(BrokerHost):
                         request.npages
                     )
                 debt = disk_debt.get(serving_index, 0.0) + service * scale
-                disk_ops.setdefault(serving_index, []).append(
-                    (
-                        request.kind,
-                        request.start_page,
-                        request.npages,
-                        cacheable_read,
-                        request.disk,
-                    )
-                )
+                disk_ops.setdefault(serving_index, []).append((request, install))
                 if debt >= MIN_SLEEP:
                     disk_debt[serving_index] = await self._disk_chunk(
                         job, serving_index, debt, disk_ops.pop(serving_index)
                     )
                 else:
                     disk_debt[serving_index] = debt
-            elif request_type is CPUBurst:
-                cpu_debt += request.instructions / cpu_rate * scale
+            elif kind is CPU_WORK:
+                cpu_debt += payload / cpu_rate * scale
                 if cpu_debt >= MIN_SLEEP:
                     cpu_debt = await self._cpu_chunk(job, cpu_debt)
-            elif request_type is AllocationWait:
-                if job.grant.pages > 0:
-                    continue  # raced with a re-grant: keep going
+            else:  # GRANT_WAIT
                 # Outstanding debts here are sub-MIN_SLEEP residues by
                 # construction (anything larger was paid at accrual).
                 # They stay accumulated across the wait: paying a
                 # 0.3 ms residue with a real timer costs ~1 ms of
                 # overshoot, which compounds into spurious deadline
                 # misses at tight time scales.
-                # No award between here and the wait is possible: the
-                # check and the waiter registration share one loop pass.
+                # No award between the interpreter's grant check and
+                # this registration is possible: no await between them.
                 wake = asyncio.Event()
-                job.grant.on_change(wake.set)
+                payload.on_change(wake.set)
                 await wake.wait()
-            else:  # pragma: no cover - operator contract violation
-                raise TypeError(f"unknown operator request {request!r}")
-        if cpu_debt > 0.0 or disk_ops:
-            await self._settle(job, cpu_debt, disk_debt, disk_ops)
-
-    async def _settle(
-        self,
-        job: LiveQuery,
-        cpu_debt: float,
-        disk_debt: Dict[int, float],
-        disk_ops: Dict[int, List[tuple]],
-    ) -> float:
-        """Pay every outstanding sub-chunk debt (end of the stream)."""
+        # End of the stream: pay every outstanding sub-chunk debt.
         if cpu_debt > 0.0:
-            cpu_debt = await self._cpu_chunk(job, cpu_debt)
-        for disk_index in list(disk_ops):
-            await self._disk_chunk(
-                job,
-                disk_index,
-                disk_debt.pop(disk_index, 0.0),
-                disk_ops.pop(disk_index),
-            )
-        return cpu_debt
+            await self._cpu_chunk(job, cpu_debt)
+        for disk_index, ops in disk_ops.items():
+            await self._disk_chunk(job, disk_index, disk_debt.get(disk_index, 0.0), ops)
 
     async def _cpu_chunk(self, job: LiveQuery, debt_wall: float) -> float:
         """Occupy one ED-ordered worker-gate slot for the chunk.
@@ -934,15 +886,15 @@ class LiveGateway(BrokerHost):
         query can hit them.  Returns the chunk's pacing carry.
         """
         disk = self.disks[disk_index]
-        await disk.acquire(job.deadline, disk.cylinder_of(ops[0][1]))
+        await disk.acquire(job.deadline, disk.cylinder_of(ops[0][0].start_page))
         loop = self.clock.loop
         started = loop.time()
         store = disk.store
-        for kind, start_page, npages, _cacheable, _home in ops:
-            if kind == READ:
-                store.replay_read(start_page, npages)
+        for request, _install in ops:
+            if request.kind == READ:
+                store.replay_read(request.start_page, request.npages)
             else:
-                store.write_blank(start_page, npages)
+                store.write_blank(request.start_page, request.npages)
         try:
             remaining = _quantize(debt_wall - (loop.time() - started))
             if remaining > 0.0:
@@ -967,11 +919,11 @@ class LiveGateway(BrokerHost):
         disk.accesses += len(ops)
         disk.chunks_served += 1
         pool = self.pool
-        for kind, start_page, npages, cacheable, home_disk in ops:
-            if cacheable and kind == READ:
+        for request, install in ops:
+            if install:
                 # Keyed by the *home* disk: a rerouted replica read
                 # still caches under the canonical address.
-                pool.install(home_disk, start_page, npages)
+                pool.install(request.disk, request.start_page, request.npages)
         disk.release()
         return debt_wall - (loop.time() - started)
 

@@ -288,10 +288,27 @@ class ShardRouter(JsonLinesFrontEnd):
     async def drain_stats(self, timeout: float = 60.0) -> dict:
         """Refuse new submissions, wait for every in-flight one to be
         answered (firm deadlines bound the wait), and return the final
-        aggregated stats while the shard links are still open."""
+        aggregated stats while the shard links are still open.
+
+        A dead shard cannot report, so instead of failing the drain its
+        index is listed under ``unreachable``, it counts as an empty
+        ``{}`` in ``shards``, and the conservation check is marked
+        unverified (``verified``, ``ok`` and ``complete`` all false).
+        """
         self._stop_accepting()
         await self._wait_idle(timeout)
-        return await self.stats()
+        replies = await asyncio.gather(
+            *(link.request({"op": "stats"}) for link in self.links),
+            return_exceptions=True,
+        )
+        unreachable = []
+        for index, reply in enumerate(replies):
+            if isinstance(reply, ConnectionError):
+                unreachable.append(index)
+                replies[index] = {}
+            elif isinstance(reply, BaseException):
+                raise reply
+        return self._stats(replies, unreachable)
 
     async def _on_drain(self) -> None:
         await _cancel(self._rebalance_task)
@@ -337,8 +354,11 @@ class ShardRouter(JsonLinesFrontEnd):
     # ------------------------------------------------------------------
     async def stats(self) -> dict:
         """Router counters, every shard's own stats, the aggregate, and
-        the conservation cross-check."""
-        shard_stats = await self._shard_stats()
+        the conservation cross-check; raises ``ConnectionError`` when a
+        shard is unreachable."""
+        return self._stats(await self._shard_stats())
+
+    def _stats(self, shard_stats: List[dict], unreachable: Sequence[int] = ()) -> dict:
         aggregate = {"arrivals": 0, "served": 0, "missed": 0, "shed": 0}
         for one in shard_stats:
             for key in aggregate:
@@ -356,7 +376,8 @@ class ShardRouter(JsonLinesFrontEnd):
             "rebalance_passes": self.rebalance_passes,
             "shards": shard_stats,
             "aggregate": aggregate,
-            "conservation": self.conservation(shard_stats),
+            "unreachable": list(unreachable),
+            "conservation": self.conservation(shard_stats, unreachable),
             "draining": self._draining,
         }
 
@@ -367,11 +388,15 @@ class ShardRouter(JsonLinesFrontEnd):
             )
         )
 
-    def conservation(self, shard_stats: Sequence[dict]) -> dict:
+    def conservation(
+        self, shard_stats: Sequence[dict], unreachable: Sequence[int] = ()
+    ) -> dict:
         """The cross-check: router arrivals == Σ shard arrivals, and --
         once the farm is drained -- Σ shard (served + shed) == arrivals
         (``served`` includes deadline misses; every accepted query
-        departs exactly once)."""
+        departs exactly once).  With any shard ``unreachable`` the sums
+        are incomplete, so nothing is verified."""
+        verified = not unreachable
         shard_arrivals = sum(
             int(one.get("arrivals", 0) or 0) for one in shard_stats
         )
@@ -383,11 +408,15 @@ class ShardRouter(JsonLinesFrontEnd):
             "shard_arrivals": shard_arrivals,
             "settled": settled,
             "responses": self.responses,
+            #: False when a shard could not report its counters.
+            "verified": verified,
             #: Arrival conservation holds at any instant.
-            "ok": shard_arrivals == self.arrivals
+            "ok": verified
+            and shard_arrivals == self.arrivals
             and settled <= shard_arrivals,
             #: True once drained: every arrival settled and answered.
-            "complete": shard_arrivals == self.arrivals
+            "complete": verified
+            and shard_arrivals == self.arrivals
             and settled == shard_arrivals
             and self.responses == self.arrivals,
         }

@@ -1,8 +1,8 @@
 """Shard-slicing and shard-process management for the routed serve layer.
 
 A *shard* is one full :class:`~repro.serve.server.LiveServer` stack --
-its own :class:`~repro.serve.broker.MemoryBroker`, tracked allocator,
-``LiveBufferPool``, ``LiveDisk`` farm and worker gate -- serving a
+its own :class:`~repro.core.broker.MemoryBroker`, ``BufferPool``,
+``LiveDisk`` farm and worker gate -- serving a
 slice of the scenario's physical resources.  :func:`shard_config`
 computes that slice: shard ``i`` of ``N`` gets an even split of the
 scenario's disks and buffer-pool pages (remainders go to the low

@@ -895,11 +895,11 @@ def _chaos_check_gateway(
     report: ChaosShootoutReport, policy: str, gateway: LiveGateway
 ) -> None:
     """Post-drain survival laws for one policy's gateway."""
-    if gateway.allocator.reserved_pages:
+    if gateway.pool.reserved_pages:
         check_fail(
             report,
             "grant-ledger",
-            f"{policy}: grant ledger holds {gateway.allocator.reserved_pages} "
+            f"{policy}: grant ledger holds {gateway.pool.reserved_pages} "
             "pages after close -- grant leak",
         )
     if gateway.broker.present_count:

@@ -44,12 +44,6 @@ class LiveSchedule:
     arrivals: Tuple[LiveArrival, ...]
     horizon: float
 
-    def per_class_counts(self) -> dict:
-        counts: dict = {}
-        for arrival in self.arrivals:
-            counts[arrival.class_name] = counts.get(arrival.class_name, 0) + 1
-        return counts
-
 
 def build_schedule(
     config: SimulationConfig,

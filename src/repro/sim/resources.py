@@ -42,7 +42,7 @@ class ServiceRequest(Event):
 class CallbackBurst:
     """A unit of server work that invokes a plain callback on completion.
 
-    The Event-free fast path for :meth:`PreemptiveServer.submit_call`:
+    The Event-free fast path for :meth:`PreemptiveServer.resubmit_call`:
     callers that chain work through callbacks (the per-block CPU+disk
     pipeline) skip the Event allocation, the callbacks list, and the
     kernel's event dispatch entirely.  Shares the queue discipline with
@@ -132,22 +132,6 @@ class PreemptiveServer:
             return request
         self._enqueue(request)
         return request
-
-    def submit_call(self, work: float, priority: float, callback) -> CallbackBurst:
-        """Submit work whose completion invokes ``callback(burst)``.
-
-        The Event-free fast path: same preemptive-resume ED discipline
-        as :meth:`submit`, but completion is a direct callback with no
-        event allocation or kernel dispatch.  Zero-work bursts complete
-        on the next kernel step (mirroring a zero-work :meth:`submit`).
-        """
-        self._sequence += 1
-        burst = CallbackBurst(float(work), float(priority), self._sequence, callback)
-        if work == 0:
-            self.sim.call_soon(callback, burst)
-            return burst
-        self._enqueue(burst)
-        return burst
 
     def resubmit_call(self, burst: CallbackBurst, work: float, priority: float) -> None:
         """Re-submit a completed :class:`CallbackBurst` with new work.

@@ -243,13 +243,13 @@ def test_proportional_admission_rate_floor():
 
     from repro.core.broker import MemoryBroker
     from repro.policies import make_policy
-    from repro.serve.dataplane import TrackedAllocator
+    from repro.core.devices import BufferPool
 
     def decision_rate() -> float:
         broker = MemoryBroker(
             make_policy("proportional"), total_pages=256, sample_size=30
         )
-        allocator = TrackedAllocator(256)
+        allocator = BufferPool(256)
         population = 24
         for qid in range(population):
             broker.register(qid, f"C{qid % 3}", 100.0 + qid, 4 + qid % 13, 20 + qid % 90)

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.rtdbs.buffer_manager import BufferManager, LRUDataCache
-from repro.sim.simulator import Simulator
+from repro.core.devices import BufferPool, GrantOversubscribedError, LRUDataCache
 
 
 def make_manager(total=100):
-    return BufferManager(Simulator(), total)
+    return BufferPool(total)
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +57,7 @@ def test_lru_keys_by_disk():
 # ----------------------------------------------------------------------
 def test_apply_allocation_tracks_reservations():
     manager = make_manager(100)
-    manager.apply_allocation({1: 40, 2: 30})
+    manager.apply({1: 40, 2: 30})
     assert manager.reserved_pages == 70
     assert manager.free_pages == 30
     assert manager.reservation_of(1) == 40
@@ -67,13 +66,13 @@ def test_apply_allocation_tracks_reservations():
 
 def test_oversubscription_fails_loudly():
     manager = make_manager(100)
-    with pytest.raises(ValueError):
-        manager.apply_allocation({1: 60, 2: 60})
+    with pytest.raises(GrantOversubscribedError):
+        manager.apply({1: 60, 2: 60})
 
 
 def test_release_returns_pages():
     manager = make_manager(100)
-    manager.apply_allocation({1: 40, 2: 30})
+    manager.apply({1: 40, 2: 30})
     manager.release(1)
     assert manager.reserved_pages == 30
     manager.release(1)  # idempotent
@@ -82,8 +81,8 @@ def test_release_returns_pages():
 
 def test_allocation_replaces_previous_vector():
     manager = make_manager(100)
-    manager.apply_allocation({1: 40, 2: 30})
-    manager.apply_allocation({2: 50})
+    manager.apply({1: 40, 2: 30})
+    manager.apply({2: 50})
     assert manager.reservation_of(1) == 0
     assert manager.reservation_of(2) == 50
 
@@ -92,7 +91,7 @@ def test_cache_capacity_follows_free_pages():
     manager = make_manager(100)
     manager.install(0, 0, 80)
     assert len(manager.cache) == 80
-    manager.apply_allocation({1: 90})
+    manager.apply({1: 90})
     # Reservations squeezed the cache down to 10 pages.
     assert manager.cache.capacity == 10
     assert len(manager.cache) == 10

@@ -162,7 +162,7 @@ def test_random_fault_schedules_conserve_everything(fault_seed):
     # Arrival conservation: every query was served or shed, never lost.
     assert report.served + report.shed == report.arrivals
     # Zero grant leaks and an empty broker after close.
-    assert gateway.allocator.reserved_pages == 0
+    assert gateway.pool.reserved_pages == 0
     assert gateway.broker.present_count == 0
     # Disk chunk conservation, per disk, including the cancelled ones.
     for disk in gateway.disks:
@@ -192,7 +192,7 @@ def test_outage_drives_retries_breaker_and_reroutes():
     # With a healthy replica available, cacheable reads reroute.
     assert report.disk_reroutes > 0
     assert report.served == report.arrivals
-    assert gateway.allocator.reserved_pages == 0
+    assert gateway.pool.reserved_pages == 0
 
 
 def test_degrade_window_stretches_service_and_restores():
@@ -224,7 +224,7 @@ def test_memory_thief_shrinks_and_restores_the_pool():
     # The theft window ended (or was cancelled at close): full pool back.
     assert gateway.broker.total_pages == config.resources.memory_pages
     assert gateway.pool.total_pages == config.resources.memory_pages
-    assert gateway.allocator.reserved_pages == 0
+    assert gateway.pool.reserved_pages == 0
 
 
 def test_policy_faults_are_survived_not_fatal():
@@ -233,7 +233,7 @@ def test_policy_faults_are_survived_not_fatal():
     gateway, report = run_chaos(config, "minmax", faults, shed=False)
     assert report.policy_faults == 3
     assert report.served == report.arrivals
-    assert gateway.allocator.reserved_pages == 0
+    assert gateway.pool.reserved_pages == 0
 
 
 def test_overload_sheds_infeasible_arrivals_at_the_door():
@@ -277,7 +277,7 @@ def test_overload_sheds_infeasible_arrivals_at_the_door():
     assert report.served + report.shed == report.arrivals
     # Shed queries never touched the broker or the ledger.
     assert gateway.broker.present_count == 0
-    assert gateway.allocator.reserved_pages == 0
+    assert gateway.pool.reserved_pages == 0
 
 
 # ----------------------------------------------------------------------

@@ -143,15 +143,18 @@ def test_memory_never_oversubscribed_live():
     config = baseline(arrival_rate=0.06, scale=0.1, duration=400.0, seed=5)
     system = RTDBSystem(config, "minmax")
     violations = []
-    original = system.buffers.apply_allocation
+    applied = []
+    original = system.buffers.apply
 
     def checked(allocation):
+        applied.append(allocation)
         if sum(allocation.values()) > system.buffers.total_pages:
             violations.append(allocation)
         original(allocation)
 
-    system.buffers.apply_allocation = checked
+    system.buffers.apply = checked
     system.run()
+    assert applied, "the wrapper never ran: the patched method is not the one called"
     assert violations == []
 
 

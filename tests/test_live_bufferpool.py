@@ -16,12 +16,11 @@ from repro.serve.dataplane import (
     LiveBufferPool,
     LiveDisk,
     PageStore,
-    TrackedAllocator,
 )
 
 
 def make_pool(total_pages=100):
-    return LiveBufferPool(TrackedAllocator(total_pages))
+    return LiveBufferPool(total_pages)
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,12 @@ import json
 import pytest
 
 from repro import RTDBSystem
+from repro.core.devices import BufferPool
 from repro.scenarios import ScenarioGenerator
 from repro.serve.dataplane import (
     GrantOversubscribedError,
     LiveDataPlane,
     PageStore,
-    TrackedAllocator,
 )
 from repro.serve.gateway import LiveGateway, PriorityWorkerGate, run_live
 from repro.serve.workload import build_schedule
@@ -26,25 +26,25 @@ def scenario_config(family="mix", index=0, seed=0):
 # grant enforcement
 # ----------------------------------------------------------------------
 def test_allocator_tracks_holdings():
-    allocator = TrackedAllocator(100)
+    allocator = BufferPool(100)
     allocator.apply({1: 40, 2: 60})
     assert allocator.reserved_pages == 100
     assert allocator.free_pages == 0
-    assert allocator.holding(1) == 40
+    assert allocator.reservation_of(1) == 40
     allocator.release(1)
     assert allocator.reserved_pages == 60
     allocator.apply({2: 10})  # a full vector replaces the ledger
-    assert allocator.holding(2) == 10
+    assert allocator.reservation_of(2) == 10
 
 
 def test_allocator_rejects_oversubscription():
-    allocator = TrackedAllocator(100)
+    allocator = BufferPool(100)
     with pytest.raises(GrantOversubscribedError):
         allocator.apply({1: 70, 2: 40})
 
 
 def test_allocator_rejects_negative_grants():
-    allocator = TrackedAllocator(100)
+    allocator = BufferPool(100)
     with pytest.raises(GrantOversubscribedError):
         allocator.apply({1: -5})
 
@@ -219,7 +219,7 @@ def test_live_gateway_releases_all_grants():
 
     gateway, report = asyncio.run(scenario())
     assert report.served == 25
-    assert gateway.allocator.reserved_pages == 0  # every grant returned
+    assert gateway.pool.reserved_pages == 0  # every grant returned
     assert gateway.broker.present_count == 0
     assert gateway.broker.departures == 25
 
@@ -246,7 +246,7 @@ def test_hopeless_deadline_is_aborted_and_counted_missed():
     gateway = asyncio.run(scenario())
     assert gateway.report.served == 1
     assert gateway.report.missed == 1
-    assert gateway.allocator.reserved_pages == 0
+    assert gateway.pool.reserved_pages == 0
 
 
 def test_broken_policy_fails_the_live_run_loudly():
@@ -393,7 +393,7 @@ def test_server_multi_tenant_roundtrip_and_drain():
     # Graceful drain left nothing behind.
     assert server.draining
     assert gateway.broker.present_count == 0
-    assert gateway.allocator.reserved_pages == 0
+    assert gateway.pool.reserved_pages == 0
 
 
 def test_server_refuses_submissions_while_draining():
@@ -602,7 +602,7 @@ def test_server_disconnect_cancels_query_and_releases_grant():
     gateway = asyncio.run(scenario())
     assert gateway.report.client_cancels == 1
     assert gateway.broker.present_count == 0
-    assert gateway.allocator.reserved_pages == 0
+    assert gateway.pool.reserved_pages == 0
     assert gateway.report.served == 1  # departed (as a miss), not lost
     assert gateway.report.missed == 1
 

@@ -418,6 +418,49 @@ def test_router_answers_dead_shard_as_unreachable_and_keeps_serving():
     assert close_seconds < 10.0, close_seconds
 
 
+def test_drain_with_a_dead_shard_reports_it_and_leaves_conservation_unverified():
+    """The ``route`` CLI's SIGINT drain must end in a verdict, not a
+    traceback, when a shard died: the dead shard is named, the live
+    one still reports, and the conservation check is unverified."""
+    from repro.serve.__main__ import _drain_verdict
+
+    async def scenario():
+        _, servers, router, (host, port) = await _start_farm(
+            rebalance_interval=0.0, placement={"tenant0": 0, "tenant1": 1}
+        )
+        try:
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=LINE_LIMIT
+            )
+            try:
+                submit = {
+                    "op": "submit", "type": "sort", "pages": 8, "slack": 50.0
+                }
+                for tenant in ("tenant0", "tenant1"):
+                    reply = await _request(
+                        writer, reader, {**submit, "tenant": tenant}
+                    )
+                    assert "error" not in reply, reply
+            finally:
+                writer.close()
+            await servers[1].close()  # shard 1 dies; its link sees EOF
+            final = await asyncio.wait_for(router.drain_stats(), timeout=10.0)
+        finally:
+            await _stop_farm(servers, router)
+        return final
+
+    final = asyncio.run(scenario())
+    assert final["unreachable"] == [1]
+    assert final["shards"][1] == {}
+    assert final["shards"][0]["arrivals"] == 1  # the live shard reported
+    conservation = final["conservation"]
+    assert conservation["verified"] is False
+    assert not conservation["ok"] and not conservation["complete"]
+    ok, verdict = _drain_verdict(final)
+    assert not ok
+    assert verdict.startswith("UNVERIFIED") and "[1]" in verdict
+
+
 # ----------------------------------------------------------------------
 # the sharded shootout pipeline (clipped: no migration requirement)
 # ----------------------------------------------------------------------
