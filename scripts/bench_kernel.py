@@ -9,7 +9,10 @@ from ``benchmarks/PROFILE.md`` --
 -- a few times, takes run-only wall-clock (construction excluded, as in
 the profile), and records wall clock, deterministic event count, and
 events/second so future PRs can diff the trajectory instead of
-re-profiling by hand.  CI runs it on every push; run locally with::
+re-profiling by hand.  It also records ``python_calls``: the cProfile
+call count of the busier ``baseline(0.07, ...)`` run that
+``tests/test_kernel_perf.py`` gates (construction included).  CI runs
+it on every push; run locally with::
 
     PYTHONPATH=src python scripts/bench_kernel.py [--repeats 7] [--output BENCH_kernel.json]
 """
@@ -47,6 +50,21 @@ def time_reference(repeats: int):
     return samples, events, arrivals
 
 
+def count_calls() -> int:
+    """cProfile call count of the call-count reference run."""
+    import cProfile
+    import pstats
+
+    from repro import RTDBSystem, baseline
+
+    profile = cProfile.Profile()
+    profile.enable()
+    config = baseline(arrival_rate=0.07, scale=0.1, duration=400.0, seed=3)
+    RTDBSystem(config, "minmax").run()
+    profile.disable()
+    return pstats.Stats(profile).total_calls
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=5)
@@ -64,6 +82,11 @@ def main(argv=None) -> int:
         "events_processed": events,
         "events_per_s": round(events / median),
         "arrivals": arrivals,
+        "python_calls": count_calls(),
+        "python_calls_experiment": (
+            "baseline(arrival_rate=0.07, scale=0.1, duration=400.0, seed=3), "
+            "minmax, construction included"
+        ),
         "python": platform.python_version(),
     }
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")

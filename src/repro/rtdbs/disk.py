@@ -18,7 +18,7 @@ The physical model itself -- head/sweep state, stream tails, the
 prefetch cache, pricing, and the ED+elevator selection -- lives in the
 host-agnostic :class:`repro.core.devices.DeviceCore`; this module is
 the simulator-clock adapter around it: it owns the request heap, the
-completion events, and the simulated-time monitors.
+completion timing, and the simulated-time monitors.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class Disk:
         #: ever lost or double-served.
         self.submitted = 0
         self.cancelled_queued = 0
-        self._complete_cb = self._complete  # pre-bound: one per serve
         # Hoisted off the per-access path.
         self._cylinder_size = resources.cylinder_size
         self._pages_per_disk = resources.pages_per_disk
@@ -120,12 +119,12 @@ class Disk:
     def submit_op(self, op) -> bool:
         """Queue an access whose completion event is ``op`` itself.
 
-        ``op`` must carry ``kind``/``start_page``/``npages``/``priority``
-        and be a waitable :class:`Event` (a :class:`DiskRequest`, or the
-        query manager's per-block CPU+disk op, which saves allocating a
-        request per access).  Returns ``True`` when the access was
-        served from the prefetch cache (no arm time; the op was not
-        queued and the caller completes it).
+        ``op`` is a :class:`DiskRequest`: a fresh one from
+        :meth:`submit`, or the query manager's per-query driver, which
+        recycles itself for every access.  :meth:`_complete` triggers it
+        and runs its waiters (``_run_callbacks``).  Returns ``True``
+        when the access was served from the prefetch cache (no arm
+        time; the op was not queued and the caller completes it).
         """
         start_page = op.start_page
         npages = op.npages
@@ -156,20 +155,16 @@ class Disk:
         An access already holding the arm runs to the end: its head
         movement, stream-tail bookkeeping, and cache installation in
         :meth:`_complete` all still happen -- only the completion is
-        delivered to no-one (every waiter callback is dropped).  A
-        *queued* request, by contrast, is dropped before it ever
-        reaches the arm: it contributes no service time and leaves no
-        physical trace on the disk.
+        delivered to no-one (the request is cancelled, so its waiters
+        never run).  A *queued* request, by contrast, is dropped before
+        it ever reaches the arm: it contributes no service time and
+        leaves no physical trace on the disk.
         """
         if request.triggered or request.cancelled:
             return
-        if self._serving is request:
-            # Keep the scheduled completion alive so _complete still
-            # runs its physical bookkeeping; just detach all waiters
-            # (the first callback is the disk's own _complete).
-            del request.callbacks[1:]
-            return
         request.cancel()
+        if self._serving is request:
+            return  # _complete still runs; it delivers to no-one
         queue = self._queue
         for index, entry in enumerate(queue):
             if entry[2] is request:
@@ -211,17 +206,24 @@ class Disk:
         )
         self.service_times.record(duration)
         self.accesses += 1
-        # Service is non-preemptive, so the request itself doubles as
-        # its own completion timer: one kernel event per access instead
-        # of a Timeout that then re-schedules the request.  The disk's
-        # bookkeeping runs first (callbacks[0]), then any waiters.
-        request.callbacks.insert(0, self._complete_cb)
-        self.sim._schedule_event(request, duration)
+        # Service is non-preemptive, so nothing can re-time it: one
+        # Event-free kernel entry per access runs the completion
+        # (Simulator.call_later, inlined).
+        sim = self.sim
+        sim._sequence += 1
+        heapq.heappush(
+            sim._heap,
+            (sim.now + duration, sim._sequence, None, (self._complete, request)),
+        )
 
     def _complete(self, request: DiskRequest) -> None:
+        """The arm finished ``request``: bookkeeping, the next access,
+        then the request's waiters (none once it is cancelled)."""
         self.core.note_transfer(request.start_page, request.npages)
         self._serving = None
         if self._queue:
             self._serve_next()
         else:
             self.busy.record_if_changed(0.0)
+        request._triggered = True
+        request._run_callbacks()

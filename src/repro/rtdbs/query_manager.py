@@ -10,13 +10,15 @@ firm-RTDBS semantics [Hari90]):
 
 * the clock is the :class:`~repro.sim.simulator.Simulator`; deadline
   expiries are simulator timeouts;
-* an admitted query runs as a simulator process over the shared
-  request-stream interpreter, :func:`~repro.core.steps.steps`: each
-  CPU step becomes a CPU burst, each disk step a CPU burst (its
-  per-block work plus the Table 4 "start an I/O" cost) chained into a
-  disk access, and each grant wait an event fired by the next re-grant;
+* an admitted query is not a simulator process: a callback-driven
+  driver pulls the shared request-stream interpreter,
+  :func:`~repro.core.steps.steps`, and each resource completion pulls
+  the next step.  Each CPU step becomes a CPU burst, each disk step a
+  CPU burst (its per-block work plus the Table 4 "start an I/O" cost)
+  chained into a disk access, and each grant wait an event fired by
+  the next re-grant;
 * an expired query's outstanding resource request is withdrawn and its
-  process interrupted, wherever it is;
+  driver stopped, wherever it is;
 * grants are installed in the :class:`~repro.core.devices.BufferPool`,
   and the batch window reads the CPU and disk busy monitors.
 """
@@ -34,66 +36,156 @@ from repro.policies.base import MemoryPolicy
 from repro.queries.base import MemoryGrant, Operator
 from repro.rtdbs.config import SimulationConfig
 from repro.rtdbs.cpu import CPU
-from repro.rtdbs.disk import Disk
-from repro.sim.events import Event, Interrupt
-from repro.sim.resources import CallbackBurst, ServiceRequest
-from repro.sim.process import Process
+from repro.rtdbs.disk import Disk, DiskRequest
+from repro.sim.events import Event
+from repro.sim.resources import CallbackBurst
 from repro.sim.simulator import Simulator
 
 __all__ = ["ABORTED", "DONE", "RUNNING", "WAITING", "QueryJob", "QueryManager"]
 
 
-class _DiskOp(Event):
-    """Completion event for one operator :class:`DiskAccess`.
+class _QueryDriver(DiskRequest):
+    """Runs one admitted query: its steps, driven by plain callbacks.
 
-    Chains the combined CPU submission (carried per-block burst plus
-    the Table 4 start-I/O cost) and the disk access itself through
-    plain callbacks, so the query's process suspends and resumes once
-    per page-block instead of once per resource.  Resource ordering is
-    unchanged: the disk request is still submitted at the simulated
-    instant the CPU burst completes.
+    The driver pulls :func:`~repro.core.steps.steps` until a step has
+    to wait, and the completion of that wait pulls the next ones; no
+    generator-driven process sits in between.  It is also the query's
+    one disk request, recycled for every access (a query has at most
+    one outstanding).  A disk step re-arms its fields and resubmits its
+    recycled :class:`CallbackBurst` for the CPU leg (per-block work
+    plus the Table 4 start-I/O cost).  The leg's completion hands the
+    request to its disk at that simulated instant, and the disk's
+    completion (:meth:`_run_callbacks`) installs the pages and pulls on.
 
-    The op is also the *disk request itself* (via ``Disk.submit_op``)
-    and its CPU stage is an Event-free :class:`CallbackBurst`.  A job
-    has at most one outstanding access, so the op (and its burst) are
-    allocated once per query and recycled for every block: the query
-    manager re-arms its fields and resubmits the burst per access.
+    The kernel sees exactly the entries a process per query made: one
+    ``call_soon`` bootstrap, then one entry per resource completion,
+    and a firm abort's deferred interrupt before the ``_finish`` entry
+    that ends every query.
     """
 
-    __slots__ = ("cpu", "disk", "kind", "start_page", "npages", "priority",
-                 "stage", "burst", "_seq", "cylinder")
+    __slots__ = (
+        "manager", "job", "steps", "cpu", "disks", "buffers", "start_io",
+        "burst", "disk", "install", "pending", "alive",
+    )
 
-    def __init__(self, sim, cpu, priority: float):
-        super().__init__(sim)
-        self.cpu = cpu
-        self.priority = priority
-        self.disk = None
-        self.kind = READ
-        self.start_page = 0
-        self.npages = 0
-        self.stage = "cpu"
-        self.burst = CallbackBurst(0.0, priority, 0, self._cpu_done)
+    def __init__(self, manager: "QueryManager", job: "QueryJob"):
+        super().__init__(manager.sim, READ, 0, 0, job.priority)
+        self.manager = manager
+        self.job = job
+        self.steps = steps(job, manager.buffers)
+        self.cpu = manager.cpu
+        self.disks = manager.disks
+        self.buffers = manager.buffers
+        self.start_io = manager.config.cpu_costs.start_io
+        self.burst = CallbackBurst(0.0, self.priority, 0, self._cpu_done)
+        self.disk: Optional[Disk] = None
+        #: The access whose pages go into the pool when it completes.
+        self.install = None
+        #: Outstanding request: ``burst`` (a disk step's CPU leg), the
+        #: driver itself (the access at its disk), a CPU
+        #: :class:`ServiceRequest`, or an allocation-wait :class:`Event`.
+        self.pending = None
+        #: False once the steps ended or the query was aborted: no
+        #: completion resumes it any more.
+        self.alive = True
+        # The first pull happens on the next kernel step, even if the
+        # query is aborted in this same instant.
+        self.sim.call_soon(self._advance)
+
+    def _advance(self, _event=None) -> None:
+        """Resume: install a completed read's pages, then pull steps
+        until one has to wait."""
+        if not self.alive:
+            return
+        access = self.install
+        if access is not None:
+            self.install = None
+            self.buffers.install(access.disk, access.start_page, access.npages)
+        try:
+            for kind, payload, install in self.steps:
+                if kind is DISK_IO:
+                    self.disk = self.disks[payload.disk]
+                    self.kind = payload.kind
+                    self.start_page = payload.start_page
+                    self.npages = payload.npages
+                    if install:
+                        self.install = payload
+                    self.pending = burst = self.burst
+                    self.cpu.execute_reuse(
+                        burst, self.start_io + payload.cpu, self.priority
+                    )
+                    return
+                if kind is CPU_WORK:
+                    # Zero-work bursts still go through the CPU (which
+                    # numbers them) but complete without queueing.
+                    handle = self.cpu.execute(payload, self.priority)
+                    if not handle._triggered:
+                        handle.callbacks.append(self._advance)
+                        self.pending = handle
+                        return
+                else:  # GRANT_WAIT: sleep until the next re-grant
+                    wake = Event(self.sim)
+                    payload.on_change(lambda evt=wake: evt.succeed(None))
+                    wake.callbacks.append(self._advance)
+                    self.pending = wake
+                    return
+        except Exception as error:
+            self._end(error)  # a model bug: surfaces from _finish
+        else:
+            self._end(None)
+
+    #: The disk completes its requests through ``_run_callbacks``.
+    _run_callbacks = _advance
 
     def _cpu_done(self, _burst) -> None:
-        if self._cancelled:
-            return
-        self.stage = "disk"
+        """The CPU leg finished: the access goes to its disk now."""
+        self.pending = self
+        self._triggered = False
         if self.disk.submit_op(self):
-            # Disk-cache hit: no arm time; complete in place (the
-            # waiting process resumes synchronously, exactly when a
-            # direct wait on the disk request would resume).
-            self._triggered = True
-            self._run_callbacks()
+            self._advance()  # prefetch-cache hit: no arm time
 
-    def cancel_op(self) -> None:
-        """Abort: withdraw whichever resource request is outstanding."""
-        if self.stage == "cpu":
-            self.cancel()
-            self.cpu.cancel(self.burst)
-        else:
-            # The op *is* the disk request; the disk distinguishes
-            # in-service (bookkeeping still runs) from queued requests.
+    def abort(self) -> None:
+        """Firm deadline: withdraw the outstanding request and stop.
+
+        The end is delivered as an interrupted process's was: one
+        deferred interrupt entry, then the ``_finish`` entry.
+        """
+        pending = self.pending
+        if pending is self:
+            # Queued: dropped.  In service: the arm still finishes it,
+            # delivering to no-one.
             self.disk.cancel(self)
+        elif type(pending) is Event:
+            pending.cancel()  # allocation wait
+        elif pending is not None:
+            self.cpu.cancel(pending)  # a CPU leg or CPU burst
+        self.pending = None
+        if self.alive:
+            # Nothing resumes the query from here on -- except a
+            # bootstrap still due in this instant (nothing pending
+            # yet): it runs first and issues the first request.
+            self.alive = pending is None
+            self.sim.call_soon(self._interrupted)
+
+    def _interrupted(self, _arg=None) -> None:
+        self.alive = False
+        if self.steps is not None:  # not ended by a same-instant bootstrap
+            self.steps = None
+            self.sim.call_soon(self._finish)
+
+    def _end(self, error: Optional[Exception]) -> None:
+        self.steps = None
+        self.pending = None
+        self.alive = False
+        self.sim.call_soon(self._finish, error)
+
+    def _finish(self, error: Optional[Exception] = None) -> None:
+        job = self.job
+        if job.state != RUNNING:
+            return  # already aborted
+        if error is not None:
+            raise error  # surface model bugs immediately
+        self.manager.complete(job)
 
 
 @dataclass
@@ -110,10 +202,8 @@ class QueryJob:
     state: str = WAITING
     submit_time: float = 0.0
     admit_time: Optional[float] = None
-    process: Optional[Process] = None
-    #: Outstanding resource request handle: a :class:`_DiskOp`, a CPU
-    #: :class:`ServiceRequest`, or an allocation-wait :class:`Event`.
-    pending: Optional[object] = None
+    #: Runs the query once it is admitted.
+    driver: Optional[_QueryDriver] = None
     #: Deadline-expiry timer (cancelled on completion).
     expiry: Optional[Event] = None
     demand_min: int = 0
@@ -135,7 +225,7 @@ class QueryManager(BrokerHost):
     """The DES adapter: binds the shared lifecycle to simulated resources.
 
     Grants go into the :class:`~repro.core.devices.BufferPool`
-    (``buffers``); each admitted query's process runs the steps of
+    (``buffers``); each admitted query's driver runs the steps of
     :func:`~repro.core.steps.steps` on the simulated CPU and disks.
     """
 
@@ -178,29 +268,11 @@ class QueryManager(BrokerHost):
         job.expiry.cancel()
 
     def _start(self, job: QueryJob) -> None:
-        job.process = self.sim.process(self._drive(job), name=f"query-{job.qid}")
-        job.process.callbacks.append(lambda _evt, j=job: self._finished(j))
+        job.driver = _QueryDriver(self, job)
 
     def _cancel(self, job: QueryJob) -> None:
-        pending = job.pending
-        if pending is not None:
-            if type(pending) is _DiskOp:
-                pending.cancel_op()
-            elif isinstance(pending, ServiceRequest):
-                self.cpu.cancel(pending)
-            else:
-                pending.cancel()  # allocation-wait wake event
-            job.pending = None
-        if job.process is not None:  # admitted: interrupt the operator
-            job.process.interrupt("deadline")
-
-    def _finished(self, job: QueryJob) -> None:
-        """The query's process ended."""
-        if job.state != RUNNING:
-            return  # already aborted
-        if not job.process.ok:
-            raise job.process.value  # surface model bugs immediately
-        self.complete(job)
+        if job.driver is not None:  # admitted: stop the query
+            job.driver.abort()
 
     def depart(self, job: QueryJob, missed: bool) -> None:
         super().depart(job, missed)
@@ -211,52 +283,3 @@ class QueryManager(BrokerHost):
             and not self.stop_event.triggered
         ):
             self.stop_event.succeed(None)
-
-    # ------------------------------------------------------------------
-    # operator driving
-    # ------------------------------------------------------------------
-    def _drive(self, job: QueryJob):
-        """Turn the operator's steps into simulated resource usage."""
-        start_io = self.config.cpu_costs.start_io
-        cpu = self.cpu
-        disks = self.disks
-        buffers = self.buffers
-        priority = job.priority  # the deadline: fixed for the job's life
-        op: Optional[_DiskOp] = None  # lazily created, reused per block
-        try:
-            for kind, payload, install in steps(job, buffers):
-                if kind is DISK_IO:
-                    if op is None:
-                        op = _DiskOp(self.sim, cpu, priority)
-                    # Re-arm the op for this access; its CPU leg runs
-                    # the per-block burst plus the start-I/O cost.
-                    op._triggered = False
-                    op._value = None
-                    op.disk = disks[payload.disk]
-                    op.kind = payload.kind
-                    op.start_page = payload.start_page
-                    op.npages = payload.npages
-                    op.stage = "cpu"
-                    cpu.execute_reuse(op.burst, start_io + payload.cpu, priority)
-                    job.pending = op
-                    yield op
-                    job.pending = None
-                    if install:
-                        buffers.install(payload.disk, payload.start_page, payload.npages)
-                elif kind is CPU_WORK:
-                    # Zero-work bursts still go through the CPU (which
-                    # numbers them) but complete without queueing.
-                    handle = cpu.execute(payload, priority)
-                    if not handle.triggered:
-                        job.pending = handle
-                        yield handle
-                    job.pending = None
-                else:  # GRANT_WAIT: sleep until the next re-grant
-                    wake = self.sim.event()
-                    payload.on_change(lambda evt=wake: evt.succeed(None))
-                    job.pending = wake
-                    yield wake
-                    job.pending = None
-        except Interrupt:
-            # Firm-deadline abort: fall through, expire() cleans up.
-            return

@@ -7,9 +7,13 @@ the result of the ``yield`` expression.  A process is itself an event
 other.
 
 Processes can be interrupted -- the kernel throws :class:`Interrupt`
-into the generator at its current suspension point.  This is how the
-RTDBS model implements firm deadlines: an expired query is interrupted
-wherever it happens to be waiting.
+into the generator at its current suspension point.
+
+The RTDBS model runs its arrival sources as processes.  Its queries
+are not processes: on the per-block hot path, the query manager drives
+each one with plain callbacks (see :mod:`repro.rtdbs.query_manager`),
+and a firm-deadline abort withdraws its outstanding request instead of
+interrupting it.
 """
 
 from __future__ import annotations
@@ -81,10 +85,10 @@ class Process(Event):
         if not self._alive:
             return
         self._target = None
-        if event.ok:
-            self._step(send=event.value)
+        if event._ok:
+            self._step(send=event._value)
         else:
-            self._step(throw=event.value)
+            self._step(throw=event._value)
 
     def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
         try:
@@ -116,12 +120,12 @@ class Process(Event):
             self._alive = False
             self.fail(TypeError(f"process {self.name!r} yielded non-event {target!r}"))
             return
-        if target.cancelled:
+        if target._cancelled:
             self._alive = False
             self.fail(RuntimeError(f"process {self.name!r} waited on cancelled event"))
             return
         self._target = target
-        if target.triggered:
+        if target._triggered:
             # Already fired: resume on the next kernel step at this time.
             self.sim.call_soon(self._resume, target)
         else:

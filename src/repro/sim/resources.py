@@ -145,7 +145,21 @@ class PreemptiveServer:
         burst._seq = self._sequence
         burst.priority = priority
         burst.work_remaining = work
-        self._enqueue(burst)
+        if self._current is None:
+            # Idle server: start the burst in place -- _start's
+            # CallbackBurst branch, with Simulator.call_later inlined.
+            sim = self.sim
+            self._current = burst
+            self._current_started = now = sim.now
+            self.busy.record_if_changed(1.0)
+            sim._sequence += 1
+            heapq.heappush(
+                sim._heap,
+                (now + work / self.rate, sim._sequence, None,
+                 (self._burst_done, (burst, burst._gen))),
+            )
+        else:
+            self._enqueue(burst)
 
     def _enqueue(self, request) -> None:
         current = self._current
@@ -206,7 +220,10 @@ class PreemptiveServer:
     def _complete(self, request: ServiceRequest) -> None:
         request.work_remaining = 0.0
         self._current = None
-        self._dispatch_next()
+        if self._queue:
+            self._dispatch_next()
+        else:
+            self.busy.record_if_changed(0.0)
 
     def _burst_done(self, token) -> None:
         burst, gen = token
@@ -214,7 +231,10 @@ class PreemptiveServer:
             return  # stale: preempted, rescheduled, or cancelled
         burst.work_remaining = 0.0
         self._current = None
-        self._dispatch_next()
+        if self._queue:
+            self._dispatch_next()
+        else:
+            self.busy.record_if_changed(0.0)
         burst.callback(burst)
 
     def _dispatch_next(self) -> None:

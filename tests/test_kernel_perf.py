@@ -1,17 +1,25 @@
 """Performance-regression smoke tests for the simulation hot path.
 
-Two guards keep future PRs from silently re-bloating the kernel:
+Three guards keep future PRs from silently re-bloating the kernel:
 
 * an **event-count ceiling** on a fixed-seed baseline run -- the count
   is fully deterministic, so any regression that adds per-block events
   (extra Timeouts, double-step completions, churn in the resource
   pipeline) trips it immediately regardless of machine speed;
+* a **Python call-count ceiling** on a busier fixed-seed run (CPython
+  3.11 only) -- as deterministic as the event count, it catches a
+  per-block function call added to the interpreter, the query driver,
+  the disks or the CPU, which moves no event at all;
 * an **event-throughput floor** -- deliberately conservative (the
   optimized kernel clears it by an order of magnitude on a developer
   machine) so it only fires on gross wall-clock regressions, not on CI
   jitter.
 """
 
+import cProfile
+import platform
+import pstats
+import sys
 import time
 
 import pytest
@@ -30,6 +38,26 @@ EVENT_COUNT_CEILING = 31_000
 #: ~40k.  A floor of 12k only trips on order-of-magnitude regressions
 #: or a return to the pre-optimization event pipeline on slow CI.
 THROUGHPUT_FLOOR = 12_000
+
+
+#: cProfile call count of :func:`call_count_run` (construction and run,
+#: CPython 3.11), measured once the DES ran each admitted query as a
+#: callback-driven driver instead of a kernel process (the process
+#: design counted 4,641,278).  The ceiling allows 2%: each per-block
+#: call added anywhere on the block path costs about +72k.
+CALL_COUNT = 3_499_859
+CALL_COUNT_CEILING = round(CALL_COUNT * 1.02)
+
+
+def call_count_run() -> int:
+    """Python calls to build and run ``baseline(0.07, scale=0.1, 400 s,
+    seed 3)`` under MinMax (~72k disk accesses)."""
+    profile = cProfile.Profile()
+    profile.enable()
+    config = baseline(arrival_rate=0.07, scale=0.1, duration=400.0, seed=3)
+    RTDBSystem(config, "minmax").run()
+    profile.disable()
+    return pstats.Stats(profile).total_calls
 
 
 def reference_run():
@@ -79,3 +107,18 @@ def test_events_processed_counter_counts_each_step():
     sim.run()
     assert fired == ["soon", "later"]
     assert sim.events_processed == 5
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython" or sys.version_info[:2] != (3, 11),
+    reason="the call count is pinned for CPython 3.11",
+)
+def test_block_path_call_count_ceiling():
+    calls = call_count_run()
+    assert calls <= CALL_COUNT_CEILING, (
+        f"DES block path re-bloated: {calls:,} Python calls for the "
+        f"call-count run (ceiling {CALL_COUNT_CEILING:,}, measured "
+        f"{CALL_COUNT:,}); did a per-block call join the query driver, "
+        f"steps(), the disks or the CPU?"
+    )
