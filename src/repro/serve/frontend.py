@@ -15,7 +15,8 @@ multiplexing client correlates them.
 Hostile or broken clients get structured ``error`` replies (malformed
 or non-object JSON, a ``ValueError`` / ``KeyError`` / ``TypeError``
 from dispatch, ``internal error`` for anything else); an oversized
-line loses the framing, so it gets one error and a close; a disconnect
+line loses the framing, so it gets one error and a clean close (a
+half-close, then the rest of the line is read off); a disconnect
 cancels the connection's in-flight requests, aborting the queries they
 own.  No client can kill the accept loop or wedge another connection.
 """
@@ -44,6 +45,11 @@ class JsonLinesFrontEnd:
     #: Wall seconds ``close`` waits for in-flight handlers to answer
     #: (bounded, in case a client's transport wedges mid-write).
     IDLE_TIMEOUT = 10.0
+
+    #: Bound on what a connection that sent an oversized line may still
+    #: send, and for how long, before the close (see :meth:`_linger`).
+    LINGER_BYTES = 1 << 22
+    LINGER_TIMEOUT = 2.0
 
     def __init__(self) -> None:
         self._server: Optional[asyncio.AbstractServer] = None
@@ -128,6 +134,7 @@ class JsonLinesFrontEnd:
                     await self._respond(
                         writer, lock, {"error": "request line too long"}
                     )
+                    await self._linger(reader, writer)
                     break
                 if not line:
                     break
@@ -143,6 +150,27 @@ class JsonLinesFrontEnd:
                 task.cancel()  # aborts the queries these requests own
             self._writers.discard(writer)
             writer.close()
+
+    async def _linger(self, reader, writer) -> None:
+        """Half-close, then read off what the client still sends, up to
+        ``LINGER_BYTES`` bytes for ``LINGER_TIMEOUT`` seconds: closing
+        with unread bytes would reset the connection, and the client
+        would lose the error reply for a reset instead of an EOF."""
+        if writer.can_write_eof():
+            writer.write_eof()
+
+        async def discard() -> None:
+            budget = self.LINGER_BYTES
+            while budget > 0:
+                chunk = await reader.read(min(budget, self.READ_LIMIT))
+                if not chunk:
+                    return
+                budget -= len(chunk)
+
+        try:
+            await asyncio.wait_for(discard(), timeout=self.LINGER_TIMEOUT)
+        except asyncio.TimeoutError:
+            pass
 
     async def _serve_request(self, line, state, writer, lock) -> None:
         """Parse and serve one request line; always answer something."""
