@@ -206,15 +206,12 @@ class Disk:
         )
         self.service_times.record(duration)
         self.accesses += 1
-        # Service is non-preemptive, so nothing can re-time it: one
-        # Event-free kernel entry per access runs the completion
-        # (Simulator.call_later, inlined).
+        # Non-preemptive, so nothing re-times it: one Event-free kernel
+        # entry per access runs the completion (call_later, inlined).
         sim = self.sim
         sim._sequence += 1
-        heapq.heappush(
-            sim._heap,
-            (sim.now + duration, sim._sequence, None, (self._complete, request)),
-        )
+        token = (self._complete, request)
+        heapq.heappush(sim._heap, (sim.now + duration, sim._sequence, None, token))
 
     def _complete(self, request: DiskRequest) -> None:
         """The arm finished ``request``: bookkeeping, the next access,

@@ -45,22 +45,18 @@ __all__ = ["ABORTED", "DONE", "RUNNING", "WAITING", "QueryJob", "QueryManager"]
 
 
 class _QueryDriver(DiskRequest):
-    """Runs one admitted query: its steps, driven by plain callbacks.
+    """Runs one admitted query by callbacks, not as a kernel process.
 
-    The driver pulls :func:`~repro.core.steps.steps` until a step has
-    to wait, and the completion of that wait pulls the next ones; no
-    generator-driven process sits in between.  It is also the query's
-    one disk request, recycled for every access (a query has at most
-    one outstanding).  A disk step re-arms its fields and resubmits its
-    recycled :class:`CallbackBurst` for the CPU leg (per-block work
-    plus the Table 4 start-I/O cost).  The leg's completion hands the
-    request to its disk at that simulated instant, and the disk's
-    completion (:meth:`_run_callbacks`) installs the pages and pulls on.
+    It pulls :func:`~repro.core.steps.steps` until a step has to wait,
+    and that wait's completion pulls on.  It is also the query's one
+    disk request, recycled per access (a query has at most one): a disk
+    step re-arms it and resubmits its :class:`CallbackBurst` for the CPU
+    leg (per-block work plus the Table 4 start-I/O cost), whose
+    completion hands it to its disk, whose completion resumes it.
 
-    The kernel sees exactly the entries a process per query made: one
-    ``call_soon`` bootstrap, then one entry per resource completion,
-    and a firm abort's deferred interrupt before the ``_finish`` entry
-    that ends every query.
+    The kernel sees the entries a process per query made: a
+    ``call_soon`` bootstrap, one entry per completion, and a firm
+    abort's deferred interrupt before the ``_finish`` entry.
     """
 
     __slots__ = (
@@ -79,18 +75,14 @@ class _QueryDriver(DiskRequest):
         self.start_io = manager.config.cpu_costs.start_io
         self.burst = CallbackBurst(0.0, self.priority, 0, self._cpu_done)
         self.disk: Optional[Disk] = None
-        #: The access whose pages go into the pool when it completes.
+        #: The read whose pages go into the pool when it completes.
         self.install = None
         #: Outstanding request: ``burst`` (a disk step's CPU leg), the
-        #: driver itself (the access at its disk), a CPU
-        #: :class:`ServiceRequest`, or an allocation-wait :class:`Event`.
+        #: driver itself (at its disk), a CPU burst or a grant wait.
         self.pending = None
-        #: False once the steps ended or the query was aborted: no
-        #: completion resumes it any more.
+        #: False once the steps end or the query is aborted.
         self.alive = True
-        # The first pull happens on the next kernel step, even if the
-        # query is aborted in this same instant.
-        self.sim.call_soon(self._advance)
+        self.sim.call_soon(self._advance)  # runs even if aborted now
 
     def _advance(self, _event=None) -> None:
         """Resume: install a completed read's pages, then pull steps
@@ -145,11 +137,7 @@ class _QueryDriver(DiskRequest):
             self._advance()  # prefetch-cache hit: no arm time
 
     def abort(self) -> None:
-        """Firm deadline: withdraw the outstanding request and stop.
-
-        The end is delivered as an interrupted process's was: one
-        deferred interrupt entry, then the ``_finish`` entry.
-        """
+        """Firm deadline: withdraw the outstanding request and stop."""
         pending = self.pending
         if pending is self:
             # Queued: dropped.  In service: the arm still finishes it,

@@ -46,8 +46,8 @@ class JsonLinesFrontEnd:
     #: (bounded, in case a client's transport wedges mid-write).
     IDLE_TIMEOUT = 10.0
 
-    #: Bound on what a connection that sent an oversized line may still
-    #: send, and for how long, before the close (see :meth:`_linger`).
+    #: What a client that sent an oversized line may still send, and
+    #: for how long, before the close (see :meth:`_linger`).
     LINGER_BYTES = 1 << 22
     LINGER_TIMEOUT = 2.0
 
@@ -152,25 +152,17 @@ class JsonLinesFrontEnd:
             writer.close()
 
     async def _linger(self, reader, writer) -> None:
-        """Half-close, then read off what the client still sends, up to
-        ``LINGER_BYTES`` bytes for ``LINGER_TIMEOUT`` seconds: closing
-        with unread bytes would reset the connection, and the client
-        would lose the error reply for a reset instead of an EOF."""
-        if writer.can_write_eof():
-            writer.write_eof()
-
-        async def discard() -> None:
-            budget = self.LINGER_BYTES
-            while budget > 0:
-                chunk = await reader.read(min(budget, self.READ_LIMIT))
-                if not chunk:
-                    return
-                budget -= len(chunk)
-
+        """Half-close, then read off what the client still sends (up to
+        ``LINGER_BYTES`` within ``LINGER_TIMEOUT`` seconds): a close over
+        unread bytes resets the connection, which can destroy the error
+        reply before the client reads it."""
+        writer.write_eof()
         try:
-            await asyncio.wait_for(discard(), timeout=self.LINGER_TIMEOUT)
-        except asyncio.TimeoutError:
-            pass
+            await asyncio.wait_for(
+                reader.readexactly(self.LINGER_BYTES), self.LINGER_TIMEOUT
+            )
+        except (asyncio.IncompleteReadError, asyncio.TimeoutError):
+            pass  # EOF (the usual end) or the bound
 
     async def _serve_request(self, line, state, writer, lock) -> None:
         """Parse and serve one request line; always answer something."""

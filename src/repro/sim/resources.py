@@ -145,21 +145,17 @@ class PreemptiveServer:
         burst._seq = self._sequence
         burst.priority = priority
         burst.work_remaining = work
-        if self._current is None:
-            # Idle server: start the burst in place -- _start's
-            # CallbackBurst branch, with Simulator.call_later inlined.
-            sim = self.sim
-            self._current = burst
-            self._current_started = now = sim.now
-            self.busy.record_if_changed(1.0)
-            sim._sequence += 1
-            heapq.heappush(
-                sim._heap,
-                (now + work / self.rate, sim._sequence, None,
-                 (self._burst_done, (burst, burst._gen))),
-            )
-        else:
+        if self._current is not None:
             self._enqueue(burst)
+            return
+        # Idle server: _start's CallbackBurst branch, call_later inlined.
+        sim = self.sim
+        self._current = burst
+        self._current_started = now = sim.now
+        self.busy.record_if_changed(1.0)
+        sim._sequence += 1
+        token = (self._burst_done, (burst, burst._gen))
+        heapq.heappush(sim._heap, (now + work / self.rate, sim._sequence, None, token))
 
     def _enqueue(self, request) -> None:
         current = self._current
