@@ -43,8 +43,9 @@ THROUGHPUT_FLOOR = 12_000
 #: cProfile call count of :func:`call_count_run` (construction and run,
 #: CPython 3.11), measured once the DES ran each admitted query as a
 #: callback-driven driver instead of a kernel process (the process
-#: design counted 4,641,278).  The ceiling allows 2%: each per-block
-#: call added anywhere on the block path costs about +72k.
+#: design counted 4,641,278).  One-time set-up earlier in the process
+#: moves it by ~0.1%.  The ceiling allows 2%: each per-block call added
+#: anywhere on the block path costs about +72k.
 CALL_COUNT = 3_499_859
 CALL_COUNT_CEILING = round(CALL_COUNT * 1.02)
 
