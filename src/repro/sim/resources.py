@@ -216,10 +216,7 @@ class PreemptiveServer:
     def _complete(self, request: ServiceRequest) -> None:
         request.work_remaining = 0.0
         self._current = None
-        if self._queue:
-            self._dispatch_next()
-        else:
-            self.busy.record_if_changed(0.0)
+        self._dispatch_next()
 
     def _burst_done(self, token) -> None:
         burst, gen = token
